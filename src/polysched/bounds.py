@@ -165,6 +165,17 @@ def best_bound(instance: OpsInstance, cap: int = 24) -> BoundReport:
     return max(reports, key=lambda r: (r.value, r.method))
 
 
+# `--method` name -> bound of an instance; each entry looks its function up
+# when called, so a function replaced on this module is the one that runs
+METHODS = {
+    "trivial": lambda instance: trivial_bound(instance),
+    "bamboo": lambda instance: bamboo_bound(instance),
+    "mass": lambda instance: total_growth_bound(instance),
+    "polydensity": lambda instance: poly_density_bound(instance),
+    "best": lambda instance: best_bound(instance),
+}
+
+
 def growth_proportional_weights(instance: OpsInstance) -> DualWeights:
     """z_e = g_e / G; its dual value collapses to the total-growth bound G/m."""
     g_total = instance.total_growth

@@ -196,14 +196,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bound(args) -> int:
     instance = _load_ops(args.instance)
-    fn = {
-        "trivial": bounds_mod.trivial_bound,
-        "bamboo": bounds_mod.bamboo_bound,
-        "mass": bounds_mod.total_growth_bound,
-        "polydensity": bounds_mod.poly_density_bound,
-        "best": bounds_mod.best_bound,
-    }[args.method]
-    report = fn(instance)
+    report = bounds_mod.METHODS[args.method](instance)
     print(f"{report.method} {format_rational(report.value)}")
     if args.certificate and report.certificate is not None:
         if report.method == "bamboo":
@@ -324,14 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-states", type=int, default=50_000_000)
         p.add_argument("--time-limit", type=float, default=None)
         p.add_argument("--matching-cap", type=int, default=24)
-        if name == "solve":
-            p.add_argument("--exact", action="store_true",
-                           help="accepted for symmetry; the solver is always exact")
         p.set_defaults(func=fn)
 
     p = sub.add_parser("bound", help="instance-specific lower bounds")
-    p.add_argument("--method", choices=["trivial", "bamboo", "mass", "polydensity", "best"],
-                   default="best")
+    p.add_argument("--method", choices=list(bounds_mod.METHODS), default="best")
     p.add_argument("--certificate", action="store_true")
     p.add_argument("instance")
     p.set_defaults(func=cmd_bound)

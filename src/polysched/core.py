@@ -45,36 +45,55 @@ def normalize_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-def _check_edges(n: int, edges: tuple[tuple[int, int], ...]) -> None:
-    seen: set[tuple[int, int]] = set()
-    for a, b in edges:
-        if not (0 <= a < b < n):
-            raise ValueError(f"edge ({a},{b}) out of range for {n} persons")
-        if (a, b) in seen:
-            raise ValueError(f"duplicate edge ({a},{b}); graph must be simple")
-        seen.add((a, b))
-
-
 @dataclass(frozen=True)
-class OpsInstance:
-    """Optimisation instance: persons, relationship edges, growth rate per edge."""
+class _Instance:
+    """Persons 0..n-1 and a simple graph of relationship edges (a, b), a < b."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    growth: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(normalize_edge(a, b) for a, b in self.edges))
-        object.__setattr__(self, "growth", tuple(as_rational(g) for g in self.growth))
-        _check_edges(self.n, self.edges)
-        if len(self.growth) != len(self.edges):
-            raise ValueError("need exactly one growth rate per edge")
-        if any(g <= 0 for g in self.growth):
-            raise ValueError("growth rates must be strictly positive")
+        seen: set[tuple[int, int]] = set()
+        for a, b in self.edges:
+            if not (0 <= a < b < self.n):
+                raise ValueError(f"edge ({a},{b}) out of range for {self.n} persons")
+            if (a, b) in seen:
+                raise ValueError(f"duplicate edge ({a},{b}); graph must be simple")
+            seen.add((a, b))
 
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    def degrees(self) -> list[int]:
+        deg = [0] * self.n
+        for a, b in self.edges:
+            deg[a] += 1
+            deg[b] += 1
+        return deg
+
+    @property
+    def max_degree(self) -> int:
+        return max(self.degrees(), default=0)
+
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        return {e: i for i, e in enumerate(self.edges)}
+
+
+@dataclass(frozen=True)
+class OpsInstance(_Instance):
+    """Optimisation instance: persons, relationship edges, growth rate per edge."""
+
+    growth: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "growth", tuple(as_rational(g) for g in self.growth))
+        if len(self.growth) != len(self.edges):
+            raise ValueError("need exactly one growth rate per edge")
+        if any(g <= 0 for g in self.growth):
+            raise ValueError("growth rates must be strictly positive")
 
     @property
     def g_min(self) -> Fraction:
@@ -88,59 +107,24 @@ class OpsInstance:
     def total_growth(self) -> Fraction:
         return sum(self.growth, Fraction(0))
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
 
 @dataclass(frozen=True)
-class DpsInstance:
+class DpsInstance(_Instance):
     """Decision instance: persons, relationship edges, integer frequency per edge."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
     freq: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(normalize_edge(a, b) for a, b in self.edges))
+        super().__post_init__()
         object.__setattr__(self, "freq", tuple(self.freq))
-        _check_edges(self.n, self.edges)
         if len(self.freq) != len(self.edges):
             raise ValueError("need exactly one frequency per edge")
         if any((not isinstance(f, int)) or isinstance(f, bool) or f < 1 for f in self.freq):
             raise ValueError("frequencies must be integers >= 1")
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
-
-    @property
     def max_freq(self) -> int:
         return max(self.freq)
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
 
 
 @dataclass(frozen=True)

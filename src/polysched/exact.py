@@ -6,6 +6,13 @@ at countdown 1, resets those edges to f and decrements the rest. Reachable
 cycles correspond exactly to feasible periodic schedules, so a depth-first
 search with dead-state memoization decides feasibility and extracts the
 cycle as the witness schedule.
+
+`ConfigGraph` packs a state into one int: per edge, max(1, bit_length(f - 1))
+low bits hold countdown - 1 below a guard bit that is clear in every stored
+state. With all guards set (`lifted`), subtracting one per field never
+borrows across fields, and the guards left clear in ``lifted - ones`` and
+``lifted - 2*ones`` mark the countdown-1 edges (the must-set) and the
+countdown <= 2 edges (relief).
 """
 
 from __future__ import annotations
@@ -26,11 +33,6 @@ INCONCLUSIVE = "inconclusive"
 class SearchLimits:
     max_states: int = 50_000_000
     time_limit: float | None = None  # seconds
-    # componentwise dead-state pruning; measured a net slowdown on dense
-    # instances (the linear scan dwarfs the ~25% state saving), so off by
-    # default; verdicts are identical either way
-    dominance: bool = False
-    dominance_cap: int = 512  # dead states kept for pruning when enabled
 
 
 @dataclass
@@ -44,64 +46,53 @@ class FeasibilityResult:
         return self.status == FEASIBLE
 
 
-def start_state(instance: DpsInstance) -> tuple[int, ...]:
-    """All-f start: maximal slack on every edge."""
-    return tuple(instance.freq)
+class ConfigGraph:
+    """The configuration graph of one instance over a fixed list of matchings.
 
-
-def successors(
-    state: tuple[int, ...],
-    instance: DpsInstance,
-    matchings: list[frozenset[int]] | None = None,
-) -> list[tuple[frozenset[int], tuple[int, ...]]]:
-    """One successor per maximal matching containing every countdown-1 edge.
-
-    Empty iff the must-schedule set is not a matching (deadlock). Ordered by
-    decreasing urgency relief (edges at countdown <= 2 covered), ties by the
-    matching's sorted edge list.
+    States are packed ints (see the module docstring); `start` is the all-f
+    state and `pack` encodes a countdown tuple.
     """
-    if matchings is None:
-        matchings = enumerate_maximal_matchings(instance.n, instance.edges)
-    must = {e for e, u in enumerate(state) if u == 1}
-    out = []
-    for mm in matchings:
-        if not must <= mm:
-            continue
-        nxt = tuple(
-            instance.freq[e] if e in mm else u - 1 for e, u in enumerate(state)
-        )
-        out.append((mm, nxt))
-    out.sort(key=lambda pair: (-sum(1 for e in pair[0] if state[e] <= 2),
-                               sorted(pair[0])))
-    return out
 
-
-class _Packer:
-    """Pack countdown vectors into ints; field-parallel decrement and reset."""
-
-    def __init__(self, freqs: tuple[int, ...]):
-        self.m = len(freqs)
-        self.freqs = freqs
-        self.offsets = []
-        self.widths = []
+    def __init__(self, instance: DpsInstance, matchings: list[frozenset[int]]):
+        self.offsets: list[int] = []
+        low: list[int] = []  # per edge: the mask of its low bits
+        guard: list[int] = []  # per edge: its guard bit
         off = 0
-        for f in freqs:
-            w = max(1, f.bit_length())
+        for f in instance.freq:
+            w = max(1, (f - 1).bit_length())
             self.offsets.append(off)
-            self.widths.append(w)
-            off += w
-        self.all_ones = sum(1 << o for o in self.offsets)
-        self.field_masks = [((1 << w) - 1) << o for o, w in zip(self.offsets, self.widths)]
+            low.append(((1 << w) - 1) << off)
+            guard.append(1 << (off + w))
+            off += w + 1
+        self.guards = sum(guard)
+        self.ones = sum(1 << o for o in self.offsets)
+        self.twos = 2 * self.ones
+        # per matching, in sorted-edge-list order: its edges' guard bits, the
+        # other edges' low bits, and its edges' fields reset to f - 1
+        self.moves = [(frozenset(mm), sum(guard[e] for e in mm),
+                       sum(low[e] for e in range(instance.m) if e not in mm),
+                       sum((instance.freq[e] - 1) << self.offsets[e] for e in mm))
+                      for mm in sorted(matchings, key=sorted)]
+        self.start = self.pack(instance.freq)
 
     def pack(self, state: tuple[int, ...]) -> int:
-        v = 0
-        for e, u in enumerate(state):
-            v |= u << self.offsets[e]
-        return v
+        return sum((u - 1) << o for u, o in zip(state, self.offsets))
 
-    def unpack(self, packed: int) -> tuple[int, ...]:
-        return tuple((packed >> o) & ((1 << w) - 1)
-                     for o, w in zip(self.offsets, self.widths))
+    def successors(self, packed: int) -> list[tuple[frozenset[int], int]]:
+        """One successor per matching containing every countdown-1 edge.
+
+        Empty iff no matching contains the must-schedule set (deadlock).
+        Ordered by decreasing urgency relief (edges at countdown <= 2
+        covered), ties by the matching's sorted edge list.
+        """
+        lifted = packed | self.guards
+        dec = lifted - self.ones
+        must = self.guards & ~dec
+        relief = self.guards & ~(lifted - self.twos)
+        out = [(mm, (dec & keep) | reset, (relief & gm).bit_count())
+               for mm, gm, keep, reset in self.moves if must & gm == must]
+        out.sort(key=lambda t: -t[2])  # stable: ties keep the moves' order
+        return [(mm, nxt) for mm, nxt, _ in out]
 
 
 def dps_feasible(
@@ -124,62 +115,16 @@ def dps_feasible(
         load[b] += Fraction(1, f)
     if any(v > 1 for v in load):
         return FeasibilityResult(INFEASIBLE, None, 0)
-    matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
-    freqs = instance.freq
-    m = instance.m
-    packer = _Packer(freqs)
-    all_ones = packer.all_ones
-    offsets = packer.offsets
-    field_masks = packer.field_masks
-
-    # per matching: clear mask, reset value, edge set (kept sorted for ties)
-    moves = []
-    for mm in matchings:
-        clear = 0
-        reset = 0
-        for e in mm:
-            clear |= field_masks[e]
-            reset |= freqs[e] << offsets[e]
-        moves.append((frozenset(mm), clear, reset))
-
+    graph = ConfigGraph(
+        instance, enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap))
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
 
-    def expand(packed: int):
-        state = packer.unpack(packed)
-        must = frozenset(e for e in range(m) if state[e] == 1)
-        dec = packed - all_ones
-        out = []
-        for mm, clear, reset in moves:
-            if not must <= mm:
-                continue
-            nxt = (dec & ~clear) | reset
-            relief = sum(1 for e in mm if state[e] <= 2)
-            out.append((-relief, sorted(mm), mm, nxt))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return [(mm, nxt) for _, _, mm, nxt in out]
-
-    start = packer.pack(start_state(instance))
     dead: set[int] = set()
-    dead_list: list[tuple[int, ...]] = []  # for dominance pruning
-    on_path: dict[int, int] = {start: 0}
-    path_states = [start]
+    on_path: dict[int, int] = {graph.start: 0}
+    path_states = [graph.start]
     path_moves: list[frozenset[int]] = []
-    stack = [iter(expand(start))]
+    stack = [iter(graph.successors(graph.start))]
     explored = 1
-
-    def dominated_dead(packed: int) -> bool:
-        if not limits.dominance or not dead_list:
-            return False
-        s = packer.unpack(packed)
-        for d in dead_list:
-            ge = True
-            for a, b in zip(d, s):
-                if a < b:
-                    ge = False
-                    break
-            if ge:
-                return True
-        return False
 
     while stack:
         if explored > limits.max_states:
@@ -195,20 +140,18 @@ def dps_feasible(
             if path_moves:
                 path_moves.pop()
             dead.add(top)
-            if limits.dominance and len(dead_list) < limits.dominance_cap:
-                dead_list.append(packer.unpack(top))
             continue
         if nxt in on_path:
             d0 = on_path[nxt]
             days = path_moves[d0:] + [mm]
             schedule = PeriodicSchedule(len(days), tuple(days))
             return FeasibilityResult(FEASIBLE, schedule, explored)
-        if nxt in dead or dominated_dead(nxt):
+        if nxt in dead:
             continue
         on_path[nxt] = len(path_states)
         path_states.append(nxt)
         path_moves.append(mm)
-        stack.append(iter(expand(nxt)))
+        stack.append(iter(graph.successors(nxt)))
         explored += 1
 
     return FeasibilityResult(INFEASIBLE, None, explored)
@@ -267,7 +210,8 @@ def ops_optimal_heat(
     if top == INCONCLUSIVE:
         return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
                                  bracket=(None, None))
-    assert top == FEASIBLE, "the (Delta+1)*g_max candidate is always feasible"
+    if top != FEASIBLE:
+        raise RuntimeError(f"the (Delta+1)*g_max candidate probed {top}")
     while lo < hi:
         mid = (lo + hi) // 2
         verdict = probe(cands[mid])
@@ -288,7 +232,10 @@ def ops_optimal_heat(
         if verdict == INCONCLUSIVE:
             return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
                                      bracket=(None, h_star))
-        assert verdict == INFEASIBLE, "binary search invariant"
+        if verdict != INFEASIBLE:
+            raise RuntimeError(f"binary search invariant: {pred} probed {verdict}")
     schedule = witnesses[h_star]
-    assert verify_dps(ops_to_dps(instance, h_star), schedule) is None
+    violation = verify_dps(ops_to_dps(instance, h_star), schedule)
+    if violation is not None:
+        raise RuntimeError(f"witness at heat {h_star} fails verification: {violation}")
     return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes)

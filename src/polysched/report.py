@@ -68,14 +68,7 @@ def run_one(name: str, instance: OpsInstance, algorithm: str,
         verdict = f"L={layered.chosen_level}"
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    bound_fn = {
-        "trivial": bounds_mod.trivial_bound,
-        "bamboo": bounds_mod.bamboo_bound,
-        "mass": bounds_mod.total_growth_bound,
-        "polydensity": bounds_mod.poly_density_bound,
-        "best": bounds_mod.best_bound,
-    }[bound_method]
-    report = bound_fn(instance)
+    report = bounds_mod.METHODS[bound_method](instance)
     ratio = None
     if achieved is not None and report.value > 0:
         ratio = achieved / report.value

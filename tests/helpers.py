@@ -71,6 +71,27 @@ def all_matchings(n: int, edges) -> list[frozenset[int]]:
     return out
 
 
+def maximal_matchings(n: int, edges) -> set[frozenset[int]]:
+    """Filter all matchings down to the inclusion-maximal ones."""
+    everything = all_matchings(n, edges)
+    return {mm for mm in everything if not any(mm < other for other in everything)}
+
+
+def naive_successors(state: tuple[int, ...], instance: DpsInstance):
+    """(matching, next countdown tuple) per maximal matching covering every
+    countdown-1 edge; next = f if scheduled else u - 1. Ordered by decreasing
+    count of scheduled edges at countdown <= 2, ties by sorted edge list."""
+    out = []
+    for mm in maximal_matchings(instance.n, instance.edges):
+        if all(e in mm for e in range(instance.m) if state[e] == 1):
+            nxt = tuple(instance.freq[e] if e in mm else state[e] - 1
+                        for e in range(instance.m))
+            relief = len([e for e in mm if state[e] <= 2])
+            out.append((-relief, sorted(mm), mm, nxt))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return [(mm, nxt) for _, _, mm, nxt in out]
+
+
 def brute_force_dps_feasible(instance: DpsInstance, max_period: int) -> bool:
     """Search day sequences over ALL matchings for a valid cyclic schedule.
 

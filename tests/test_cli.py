@@ -1,5 +1,6 @@
 from pathlib import Path
 
+from polysched.bounds import METHODS
 from polysched.cli import (
     EX_INCONCLUSIVE,
     EX_INFEASIBLE,
@@ -8,6 +9,9 @@ from polysched.cli import (
     EX_USAGE,
     main,
 )
+from polysched.fileio import format_rational
+from polysched.generators import figure1
+from polysched.report import run_one
 
 
 def test_gen_heat_verify_flow(tmp_path, capsys):
@@ -24,7 +28,7 @@ def test_solve_exact(tmp_path, capsys):
     ops = tmp_path / "fig1.ops"
     main(["gen", "figure1", "-o", str(ops)])
     out_sched = tmp_path / "opt.sched"
-    assert main(["solve", "--exact", str(ops), "--emit-schedule", str(out_sched)]) == EX_OK
+    assert main(["solve", str(ops), "--emit-schedule", str(out_sched)]) == EX_OK
     out = capsys.readouterr().out
     assert "optimal heat 160" in out and "infeasible below at 144" in out
     assert main(["verify", str(ops), str(out_sched)]) == EX_OK
@@ -57,6 +61,17 @@ def test_bound_with_certificate(tmp_path, capsys):
     assert main(["bound", "--method", "bamboo", "--certificate", str(ops)]) == EX_OK
     out = capsys.readouterr().out
     assert "bamboo 160" in out and "certificate person 0" in out
+
+
+def test_bound_methods_match_suite_rows(tmp_path, capsys):
+    ops = tmp_path / "fig1.ops"
+    main(["gen", "figure1", "-o", str(ops)])
+    for method in METHODS:
+        capsys.readouterr()
+        assert main(["bound", "--method", method, str(ops)]) == EX_OK
+        row = run_one("figure1", figure1(), "coloring", method)
+        assert capsys.readouterr().out.split() == [row.bound_method,
+                                                   format_rational(row.bound)]
 
 
 def test_schedule_algorithms(tmp_path, capsys):

@@ -1,20 +1,23 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import product as iproduct
 
-from helpers import brute_force_dps_feasible
+from helpers import brute_force_dps_feasible, naive_successors
 
 from polysched.core import DpsInstance, OpsInstance, ops_to_dps, verify_dps
 from polysched.exact import (
     FEASIBLE,
     INCONCLUSIVE,
     INFEASIBLE,
+    ConfigGraph,
     SearchLimits,
     dps_feasible,
     heat_candidates,
     ops_optimal_heat,
-    start_state,
-    successors,
 )
 from polysched.generators import (
     figure1,
@@ -22,6 +25,7 @@ from polysched.generators import (
     pinwheel_star,
     triangle_f2,
 )
+from polysched.matchings import enumerate_maximal_matchings
 
 
 def random_dps(rng, max_n=5, max_m=5, max_f=4):
@@ -33,28 +37,54 @@ def random_dps(rng, max_n=5, max_m=5, max_f=4):
     return DpsInstance(n, edges, freq)
 
 
+def config_graph(inst):
+    # reversed: the graph must order its moves itself
+    return ConfigGraph(inst, enumerate_maximal_matchings(inst.n, inst.edges)[::-1])
+
+
+def all_states(inst):
+    return list(iproduct(*(range(1, f + 1) for f in inst.freq)))
+
+
 class TestSuccessors:
     def test_triangle_all_urgent_deadlock(self):
-        tri = triangle_f2()
-        assert successors((1, 1, 1), tri) == []
+        graph = config_graph(triangle_f2())
+        assert graph.successors(graph.pack((1, 1, 1))) == []
 
     def test_single_edge_resets(self):
-        inst = DpsInstance(2, ((0, 1),), (3,))
-        succ = successors((3,), inst)
-        assert succ == [(frozenset({0}), (3,))]
+        graph = config_graph(DpsInstance(2, ((0, 1),), (3,)))
+        assert graph.successors(graph.pack((3,))) == [(frozenset({0}), graph.pack((3,)))]
 
     def test_path_with_urgent_edge(self):
-        inst = DpsInstance(3, ((0, 1), (1, 2)), (1, 2))
-        succ = successors((1, 2), inst)
+        graph = config_graph(DpsInstance(3, ((0, 1), (1, 2)), (1, 2)))
+        succ = graph.successors(graph.pack((1, 2)))
         # the only maximal matchings are {0} and {1}; edge 0 is forced
         assert [mm for mm, _ in succ] == [frozenset({0})]
-        assert succ[0][1] == (1, 1)
+        assert succ[0][1] == graph.pack((1, 1))
 
     def test_urgency_relief_ordering(self):
-        inst = DpsInstance(4, ((0, 1), (2, 3)), (3, 3))
-        succ = successors((2, 3), inst)
+        graph = config_graph(DpsInstance(4, ((0, 1), (2, 3)), (3, 3)))
+        succ = graph.successors(graph.pack((2, 3)))
         # the lone maximal matching covers both
         assert succ[0][0] == frozenset({0, 1})
+
+    def test_matches_naive_successors_on_every_state(self):
+        # f = 1 edges and f at the field-width boundaries 2, 3, 4, 5, 8, 9
+        instances = [
+            DpsInstance(4, ((0, 1), (1, 2), (2, 3), (0, 3)), (1, 2, 8, 9)),
+            DpsInstance(4, ((0, 1), (0, 2), (1, 2), (2, 3)), (3, 4, 5, 2)),
+            DpsInstance(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)), (2, 3, 4, 5, 8)),
+            DpsInstance(5, ((0, 1), (0, 2), (0, 3), (3, 4)), (9, 1, 8, 3)),
+            DpsInstance(5, ((0, 1), (2, 3), (3, 4)), (1, 4, 3)),
+        ]
+        rng = random.Random(79)
+        instances += [random_dps(rng, max_n=5, max_m=4, max_f=9) for _ in range(15)]
+        for inst in instances:
+            graph = config_graph(inst)
+            assert graph.start == graph.pack(inst.freq)
+            for s in all_states(inst):
+                expected = [(mm, graph.pack(nxt)) for mm, nxt in naive_successors(s, inst)]
+                assert graph.successors(graph.pack(s)) == expected, (inst, s)
 
 
 class TestFeasibility:
@@ -112,43 +142,48 @@ class TestFeasibility:
         limited = dps_feasible(inst, SearchLimits(max_states=3))
         assert limited.status == INCONCLUSIVE
 
-    def test_dominance_does_not_change_verdicts(self):
-        rng = random.Random(67)
-        for _ in range(60):
-            inst = random_dps(rng)
-            on = dps_feasible(inst, SearchLimits(dominance=True)).status
-            off = dps_feasible(inst, SearchLimits(dominance=False)).status
-            assert on == off
-
     def test_dominance_soundness_on_exhaustive_state_space(self):
         # alive = greatest fixpoint of "has a successor that is alive";
         # alive must be upward closed, dead downward closed, componentwise
         rng = random.Random(73)
         for _ in range(25):
             inst = random_dps(rng, max_n=4, max_m=3, max_f=3)
-            from itertools import product as iproduct
-            states = list(iproduct(*(range(1, f + 1) for f in inst.freq)))
-            alive = set(states)
+            graph = config_graph(inst)
+            packed = {s: graph.pack(s) for s in all_states(inst)}
+            alive = set(packed.values())
             changed = True
             while changed:
                 changed = False
-                for s in list(alive):
-                    if not any(nxt in alive for _, nxt in successors(s, inst)):
-                        alive.discard(s)
+                for p in list(alive):
+                    if not any(nxt in alive for _, nxt in graph.successors(p)):
+                        alive.discard(p)
                         changed = True
-            for s in states:
-                for t in states:
+            for s in packed:
+                for t in packed:
                     if all(a >= b for a, b in zip(t, s)):
-                        if s in alive:
-                            assert t in alive  # more slack stays alive
-                        if t not in alive:
-                            assert s not in alive
+                        if packed[s] in alive:
+                            assert packed[t] in alive  # more slack stays alive
+                        if packed[t] not in alive:
+                            assert packed[s] not in alive
             # the solver's verdict matches reachability into the alive set
             verdict = dps_feasible(inst).status
-            assert (verdict == FEASIBLE) == (tuple(inst.freq) in alive)
+            assert (verdict == FEASIBLE) == (packed[tuple(inst.freq)] in alive)
 
     def test_start_state_is_all_f(self):
-        assert start_state(triangle_f2()) == (2, 2, 2)
+        graph = config_graph(triangle_f2())
+        assert graph.start == graph.pack((2, 2, 2))
+
+    def test_search_trace_is_pinned(self):
+        fig = dps_feasible(ops_to_dps(figure1(), 160))
+        assert (fig.status, fig.explored, fig.schedule.period) == (FEASIBLE, 65, 8)
+        assert [sorted(d) for d in fig.schedule.days] == [[1, 6, 7, 9], [0, 2, 4], [1, 6, 7, 9],
+            [1, 5, 8, 9], [1, 6, 7, 9], [0, 2, 4], [1, 6, 7, 9], [1, 3, 5]]
+        pent = dps_feasible(pentagon())
+        assert (pent.status, pent.explored, pent.schedule.period) == (FEASIBLE, 5, 3)
+        assert [sorted(d) for d in pent.schedule.days] == [[2, 4], [0, 2], [1, 3]]
+        # passes the load check, so the search itself proves infeasibility
+        star = dps_feasible(pinwheel_star(2, 3, 12))
+        assert (star.status, star.explored) == (INFEASIBLE, 36)
 
 
 class TestOptimalHeat:
@@ -180,6 +215,20 @@ class TestOptimalHeat:
         feas = sorted(h for h, v in result.probes.items() if v == FEASIBLE)
         infeas = sorted(h for h, v in result.probes.items() if v == INFEASIBLE)
         assert not infeas or not feas or max(infeas) < min(feas)
+
+    def test_bad_witness_raises_under_optimize_flag(self):
+        # the witness check must survive `python -O`, which strips asserts
+        script = (
+            "from polysched import core, exact\n"
+            "from polysched.generators import pentagon\n"
+            "exact.verify_dps = lambda *a: core.Violation('gap-too-large', 0, 0)\n"
+            "exact.ops_optimal_heat(core.dps_to_ops(pentagon()))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode != 0
+        assert "fails verification" in proc.stderr
 
     def test_matches_brute_force_heat_on_tiny_instances(self):
         rng = random.Random(71)

@@ -1,23 +1,13 @@
 import random
 
 import pytest
-from helpers import all_matchings
+from helpers import maximal_matchings as brute_maximal
 
 from polysched.matchings import (
     MatchingCapExceeded,
     enumerate_maximal_matchings,
     maximum_matching_size,
 )
-
-
-def brute_maximal(n, edges):
-    """Reference: filter all matchings down to the inclusion-maximal ones."""
-    everything = all_matchings(n, edges)
-    out = set()
-    for mm in everything:
-        if not any(mm < other for other in everything):
-            out.add(mm)
-    return out
 
 
 def test_triangle_three_singletons():
