@@ -111,7 +111,7 @@ def poly_density(instance: OpsInstance, cap: int = 24) -> PolyDensityResult:
     """Exact optimum of the fractional relaxation over enumerated maximal matchings.
 
     Solves the primal LP with an exact rational simplex and reads the dual
-    weights off the slack columns; strong duality (l* = x*) is asserted
+    weights off the slack columns; strong duality (l* = x*) is checked
     exactly, and the returned z recomputes the value through dual_value.
     """
     matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=cap)
@@ -132,17 +132,22 @@ def poly_density(instance: OpsInstance, cap: int = 24) -> PolyDensityResult:
     ell = sol.objective
     x_star = sol.duals[0]
     z = tuple(sol.duals[1 + e] for e in range(m))
-    assert ell == x_star, "strong duality must hold exactly"
-    assert all(v >= 0 for v in z)
+    if ell != x_star:
+        raise RuntimeError(f"strong duality fails: primal {ell} != dual {x_star}")
+    if any(v < 0 for v in z):
+        raise RuntimeError(f"dual weights are not feasible: negative entry in {z}")
     # any optimal dual has unit mass: scaling a heavier z down would be
     # feasible and strictly cheaper
-    assert sum(z, Fraction(0)) == 1
+    if sum(z, Fraction(0)) != 1:
+        raise RuntimeError(f"dual weights do not sum to 1: {z}")
     weights = DualWeights(z)
     # dual feasibility, exactly
     for mm in matchings:
-        assert sum((z[e] / instance.growth[e] for e in mm), Fraction(0)) <= x_star
+        if sum((z[e] / instance.growth[e] for e in mm), Fraction(0)) > x_star:
+            raise RuntimeError(f"dual constraint of matching {sorted(mm)} exceeds {x_star}")
     value = 1 / x_star
-    assert dual_value(instance, weights, cap=cap) >= value
+    if dual_value(instance, weights, cap=cap) < value:
+        raise RuntimeError(f"dual value of the weights is below the poly density {value}")
     primal = tuple(
         (mm, sol.x[1 + i]) for i, mm in enumerate(matchings) if sol.x[1 + i] != 0
     )

@@ -7,6 +7,7 @@ exceeded, 64 usage error, 65 parse error. Configuration is flags only.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -277,7 +278,13 @@ def cmd_suite(args) -> int:
     return EX_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Parsing leaves the parser unchanged, and building it costs about as much
+    as a small `solve`, so in-process callers of `main` pay it once.
+    """
     parser = argparse.ArgumentParser(
         prog="polysched",
         description="periodic pairwise-meeting scheduling: solvers, bounds, reductions",

@@ -137,7 +137,8 @@ def color_edges(n: int, edges: tuple[tuple[int, int], ...]) -> EdgeColoring:
     used_colors = sorted({c for c in color if c is not None})
     remap = {c: i for i, c in enumerate(used_colors)}
     final = tuple(remap[c] for c in color)  # type: ignore[index]
-    assert is_proper(edges, final)
+    if not is_proper(edges, final):
+        raise RuntimeError(f"edge coloring {final} is not proper")
     return EdgeColoring(final, len(used_colors))
 
 

@@ -13,6 +13,17 @@ state. With all guards set (`lifted`), subtracting one per field never
 borrows across fields, and the guards left clear in ``lifted - ones`` and
 ``lifted - 2*ones`` mark the countdown-1 edges (the must-set) and the
 countdown <= 2 edges (relief).
+
+Before the full search, `dps_feasible` searches the star of each person: the
+pinwheel instance of that person's sorted frequencies, one edge per day. An
+infeasible star proves the instance infeasible. Cut any valid schedule down
+to one person's edges: a day with no edge at that person can be given any of
+them, because meeting early only resets a countdown, so the cut is a valid
+star schedule. Skipped are stars with fewer than 3 edges (two tasks of
+density <= 1 always fit), stars of load <= 5/6 (every such pinwheel instance
+is schedulable; Kawamura, STOC 2024) and a star holding every edge of the
+instance, which the full search decides itself. A skip can only lose a
+pruning, never change a verdict.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import DpsInstance, OpsInstance, PeriodicSchedule, ops_to_dps, verify_dps
+from .generators import pinwheel_star
 from .matchings import enumerate_maximal_matchings
 
 FEASIBLE = "feasible"
@@ -95,30 +107,64 @@ class ConfigGraph:
         return [(mm, nxt) for mm, nxt, _ in out]
 
 
+# Kawamura (STOC 2024): every pinwheel instance of density <= 5/6 is
+# schedulable, so a star this light cannot prove anything
+STAR_SKIP_LOAD = Fraction(5, 6)
+
+
 def dps_feasible(
     instance: DpsInstance,
     limits: SearchLimits | None = None,
     matching_cap: int = 24,
+    *,
+    _matchings: list[frozenset[int]] | None = None,
 ) -> FeasibilityResult:
-    """Depth-first cycle search from the all-f state.
+    """Decide feasibility: the load check, the star checks (see the module
+    docstring), then the depth-first cycle search from the all-f state.
 
     Returns feasible with the cycle as a standalone periodic schedule,
-    infeasible when the reachable subgraph is exhausted without a cycle, or
+    infeasible when the load check fails (explored 0), a star search or the
+    full search exhausts its reachable subgraph without a cycle, or
     inconclusive when a budget runs out (never conflated with infeasible).
+    `explored` counts the states of the search that settled the verdict: the
+    star's own count when a star proves infeasibility, else the full
+    search's, which a feasible or inconclusive star leaves unchanged. Each
+    search gets `max_states`; all share one `time_limit` deadline.
+    `_matchings` lets `ops_optimal_heat` enumerate the maximal matchings
+    once for all its probes, which share the edge set.
     """
     limits = limits or SearchLimits()
+    deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
     # necessary condition: a person can serve one edge per day, and edge e
     # claims a 1/f(e) share of its endpoints' days in the long run
     load = [Fraction(0)] * instance.n
+    star: list[list[int]] = [[] for _ in range(instance.n)]
     for (a, b), f in zip(instance.edges, instance.freq):
-        load[a] += Fraction(1, f)
-        load[b] += Fraction(1, f)
+        for v in (a, b):
+            load[v] += Fraction(1, f)
+            star[v].append(f)
     if any(v > 1 for v in load):
         return FeasibilityResult(INFEASIBLE, None, 0)
-    graph = ConfigGraph(
-        instance, enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap))
-    deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
+    for freqs, v_load in zip(star, load):
+        if len(freqs) < 3 or v_load <= STAR_SKIP_LOAD or len(freqs) == instance.m:
+            continue
+        pinwheel = pinwheel_star(*sorted(freqs))
+        result = _search(pinwheel, [frozenset({e}) for e in range(pinwheel.m)], limits, deadline)
+        if result.status == INFEASIBLE:
+            return result
+    if _matchings is None:
+        _matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
+    return _search(instance, _matchings, limits, deadline)
 
+
+def _search(
+    instance: DpsInstance,
+    matchings: list[frozenset[int]],
+    limits: SearchLimits,
+    deadline: float | None,
+) -> FeasibilityResult:
+    """Depth-first cycle search over the configuration graph from the all-f state."""
+    graph = ConfigGraph(instance, matchings)
     dead: set[int] = set()
     on_path: dict[int, int] = {graph.start: 0}
     path_states = [graph.start]
@@ -194,12 +240,13 @@ def ops_optimal_heat(
     as the optimality certificate.
     """
     cands = heat_candidates(instance)
+    matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
     probes: dict[Fraction, str] = {}
     witnesses: dict[Fraction, PeriodicSchedule] = {}
 
     def probe(h: Fraction) -> str:
         if h not in probes:
-            res = dps_feasible(ops_to_dps(instance, h), limits, matching_cap)
+            res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=matchings)
             probes[h] = res.status
             if res.status == FEASIBLE:
                 witnesses[h] = res.schedule

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -159,3 +162,10 @@ def small_formula_family(min_size: int = 50):
             formulas.append(CnfFormula(3, tuple(clauses), k))
     assert len(formulas) >= min_size
     return formulas
+
+
+def run_under_optimize(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script with `-O`, which strips asserts, on this test run's path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)

@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from helpers import run_under_optimize
 
 from polysched.bounds import (
     BoundReport,
@@ -190,3 +191,35 @@ class TestCertificates:
         inst = figure1()
         forged = BoundReport("bamboo", Fraction(999), 0)
         assert not verify_certificate(inst, forged)
+
+
+# each patch breaks one exact check of poly_density on a single edge of
+# growth 1, whose LP optimum is objective 1 with duals (1, 1)
+BROKEN_LP = {
+    "strong_duality": ("sol.objective += 1", "strong duality fails"),
+    "dual_feasibility": ("sol.duals[1] = Fraction(-1)", "not feasible"),
+    "unit_mass": ("sol.duals[1] = Fraction(1, 2)", "do not sum to 1"),
+    "matching_constraint": ("sol.objective = sol.duals[0] = Fraction(1, 2)",
+                            "dual constraint of matching [0] exceeds 1/2"),
+    "dual_value": ("bounds.dual_value = lambda *a, **k: Fraction(0)", "below the poly density"),
+}
+
+
+@pytest.mark.parametrize("check", list(BROKEN_LP))
+def test_lp_checks_raise_under_optimize_flag(check):
+    patch, message = BROKEN_LP[check]
+    script = (
+        "from fractions import Fraction\n"
+        "from polysched import bounds\n"
+        "from polysched.core import OpsInstance\n"
+        "solve_max = bounds.solve_max\n"
+        "def broken(*args):\n"
+        "    sol = solve_max(*args)\n"
+        f"    {patch}\n"
+        "    return sol\n"
+        "bounds.solve_max = broken\n"
+        "bounds.poly_density(OpsInstance(2, ((0, 1),), (1,)))\n"
+    )
+    proc = run_under_optimize(script)
+    assert proc.returncode != 0
+    assert message in proc.stderr

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from polysched.bounds import METHODS
@@ -7,6 +10,7 @@ from polysched.cli import (
     EX_OK,
     EX_PARSE,
     EX_USAGE,
+    build_parser,
     main,
 )
 from polysched.fileio import format_rational
@@ -53,6 +57,23 @@ def test_parse_error_exit_code(tmp_path):
 def test_usage_error(tmp_path):
     missing = tmp_path / "nope.ops"
     assert main(["heat", str(missing), str(missing)]) == EX_USAGE
+
+
+def test_parser_reused_across_calls_answers_as_fresh_processes(tmp_path, capsys):
+    ops = tmp_path / "fig1.ops"
+    main(["gen", "figure1", "-o", str(ops)])
+    argvs = [["solve", "--max-states"], ["bound", "--method", "mass", str(ops)],
+             ["solve", str(ops)]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    fresh = [subprocess.run([sys.executable, "-m", "polysched.cli", *argv], capture_output=True,
+                            text=True, env=env, timeout=60) for argv in argvs]
+    capsys.readouterr()
+    hits = build_parser.cache_info().hits
+    for argv, proc in zip(argvs, fresh):
+        assert main(argv) == proc.returncode, argv
+        assert capsys.readouterr().out == proc.stdout, argv
+    assert fresh[0].returncode == EX_USAGE
+    assert build_parser.cache_info().hits == hits + len(argvs)
 
 
 def test_bound_with_certificate(tmp_path, capsys):

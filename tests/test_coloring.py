@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import run_under_optimize
 
 from polysched.coloring import (
     chromatic_index,
@@ -27,6 +28,16 @@ def random_graph(rng, max_n=12, max_m=20):
 class TestColorEdges:
     def test_single_edge(self):
         assert color_edges(2, ((0, 1),)).n_colors == 1
+
+    def test_improper_coloring_raises_under_optimize_flag(self):
+        script = (
+            "from polysched import coloring\n"
+            "coloring.is_proper = lambda edges, colors: False\n"
+            "coloring.color_edges(2, ((0, 1),))\n"
+        )
+        proc = run_under_optimize(script)
+        assert proc.returncode != 0
+        assert "is not proper" in proc.stderr
 
     def test_triangle_three_colors(self):
         col = color_edges(3, ((0, 1), (0, 2), (1, 2)))

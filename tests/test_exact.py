@@ -186,6 +186,68 @@ class TestFeasibility:
         assert (star.status, star.explored) == (INFEASIBLE, 36)
 
 
+def loaded_star_instance(rng):
+    """A star of 3-4 edges with load in (5/6, 1], plus 1-2 edges off the
+    centre; persons relabelled and edges shuffled. Returns the instance and
+    the star's frequencies."""
+    while True:
+        freqs = [rng.randint(2, 7) for _ in range(rng.randint(3, 4))]
+        if Fraction(5, 6) < sum(Fraction(1, f) for f in freqs) <= 1:
+            break
+    k = len(freqs)
+    n = k + 1 + rng.randint(0, 2)
+    pool = [(a, b) for a in range(1, n) for b in range(a + 1, n)]
+    extra = rng.sample(pool, rng.randint(1, 2))
+    rows = [((0, i + 1), f) for i, f in enumerate(freqs)]
+    rows += [(e, rng.randint(2, 4)) for e in extra]
+    rng.shuffle(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = tuple((perm[a], perm[b]) for (a, b), _ in rows)
+    return DpsInstance(n, edges, tuple(f for _, f in rows)), freqs
+
+
+class TestStarCheck:
+    # pinwheel_star(2, 3, 12) with a leaf joined to a new person 4: with a
+    # large f alone (36 states at the parent too), and to a path 4-5 (the
+    # full search alone takes 143 states)
+    SETTLED = [
+        DpsInstance(5, ((0, 1), (0, 2), (0, 3), (1, 4)), (2, 3, 12, 50)),
+        DpsInstance(6, ((0, 1), (0, 2), (0, 3), (1, 4), (4, 5)), (2, 3, 12, 7, 2)),
+    ]
+
+    def test_infeasible_star_settles_the_verdict(self):
+        star = dps_feasible(pinwheel_star(2, 3, 12))
+        assert (star.status, star.explored) == (INFEASIBLE, 36)
+        for inst in self.SETTLED:
+            result = dps_feasible(inst)
+            assert (result.status, result.explored) == (INFEASIBLE, 36), inst
+
+    def test_matches_brute_force_on_loaded_stars(self):
+        rng = random.Random(89)
+        verdicts = {FEASIBLE: 0, INFEASIBLE: 0}
+        star_settled = 0
+        for _ in range(200):
+            inst, freqs = loaded_star_instance(rng)
+            mine = dps_feasible(inst).status
+            brute = brute_force_dps_feasible(inst, max_period=math.prod(inst.freq) + 1)
+            assert (mine == FEASIBLE) == brute, inst
+            verdicts[mine] += 1
+            loads = [sum(Fraction(1, f) for e, f in zip(inst.edges, inst.freq) if v in e)
+                     for v in range(inst.n)]
+            if max(loads) <= 1 and dps_feasible(pinwheel_star(*sorted(freqs))).status == INFEASIBLE:
+                star_settled += 1
+        assert min(verdicts.values()) >= 50
+        assert star_settled >= 20
+
+    def test_star_out_of_budget_is_never_infeasible(self):
+        for inst in self.SETTLED:
+            for max_states in range(1, 36):
+                result = dps_feasible(inst, SearchLimits(max_states=max_states))
+                assert result.status == INCONCLUSIVE, (inst, max_states)
+            assert dps_feasible(inst, SearchLimits(max_states=36)).status == INFEASIBLE
+
+
 class TestOptimalHeat:
     def test_figure1(self):
         result = ops_optimal_heat(figure1())
