@@ -144,6 +144,17 @@ class PeriodicSchedule:
     def occurrences(self, e: int) -> list[int]:
         return [t for t, day in enumerate(self.days) if e in day]
 
+    def occurrence_lists(self, n_edges: int) -> list[list[int]]:
+        """`occurrences(e)` for every edge 0..n_edges-1, in one pass over the days.
+
+        Every edge index on a day must be below n_edges (see `check_structure`).
+        """
+        lists: list[list[int]] = [[] for _ in range(n_edges)]
+        for t, day in enumerate(self.days):
+            for e in day:
+                lists[e].append(t)
+        return lists
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -194,11 +205,14 @@ def recurrence_time(schedule: PeriodicSchedule, e: int):
     gap over the infinite unrolling equals the max cyclic gap over one
     period (wrapping the period boundary).
     """
-    occ = schedule.occurrences(e)
+    return _max_cyclic_gap(schedule.occurrences(e), schedule.period)
+
+
+def _max_cyclic_gap(occ: list[int], period: int):
     if not occ:
         return UNBOUNDED
     gaps = [occ[i + 1] - occ[i] for i in range(len(occ) - 1)]
-    gaps.append(occ[0] + schedule.period - occ[-1])
+    gaps.append(occ[0] + period - occ[-1])
     return max(gaps)
 
 
@@ -208,8 +222,8 @@ def heat(instance: OpsInstance, schedule: PeriodicSchedule):
     if bad is not None:
         raise ValueError(f"schedule does not match instance: {bad}")
     worst = Fraction(0)
-    for e in range(instance.m):
-        r = recurrence_time(schedule, e)
+    for e, occ in enumerate(schedule.occurrence_lists(instance.m)):
+        r = _max_cyclic_gap(occ, schedule.period)
         if r is UNBOUNDED:
             return UNBOUNDED
         h = instance.growth[e] * r
@@ -230,8 +244,8 @@ def verify_dps(instance: DpsInstance, schedule: PeriodicSchedule) -> Violation |
     bad = matching_violation(instance.edges, schedule)
     if bad is not None:
         return bad
-    for e in range(instance.m):
-        r = recurrence_time(schedule, e)
+    for e, occ in enumerate(schedule.occurrence_lists(instance.m)):
+        r = _max_cyclic_gap(occ, schedule.period)
         if r is UNBOUNDED:
             return Violation("never-scheduled", edge=e,
                              detail=f"edge {instance.edges[e]} never occurs")

@@ -28,6 +28,7 @@ pruning, never change a verdict.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -214,17 +215,19 @@ class OptimalHeatResult:
 
 
 def heat_candidates(instance: OpsInstance) -> list[Fraction]:
-    """All values g(e)*q in [g_max, (Delta+1)*g_max]; the optimum is one of them."""
-    hi = (instance.max_degree + 1) * instance.g_max
-    lo = instance.g_max
-    cands: set[Fraction] = set()
+    """All values g(e)*q in [g_max, (Delta+1)*g_max]; the optimum is one of them.
+
+    Over the common denominator L of the growth rates, the candidates of g are
+    the multiples of the integer g*L between g_max*L and (Delta+1)*g_max*L.
+    """
+    denom = math.lcm(*(g.denominator for g in instance.growth))
+    lo = instance.g_max.numerator * (denom // instance.g_max.denominator)
+    hi = (instance.max_degree + 1) * lo
+    cands: set[int] = set()
     for g in set(instance.growth):
-        q = 1
-        while g * q <= hi:
-            if g * q >= lo:
-                cands.add(g * q)
-            q += 1
-    return sorted(cands)
+        step = g.numerator * (denom // g.denominator)
+        cands.update(range(-(-lo // step) * step, hi + 1, step))
+    return [Fraction(c, denom) for c in sorted(cands)]
 
 
 def ops_optimal_heat(

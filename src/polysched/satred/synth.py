@@ -237,8 +237,9 @@ class ExtractionError(ValueError):
     pass
 
 
-def _occurrence_days(schedule: PeriodicSchedule, e: int, horizon: int) -> list[int]:
-    return [d for d in range(horizon) if e in schedule.days[d % schedule.period]]
+def _occurrence_days(occ: list[int], period: int, horizon: int) -> list[int]:
+    """The days below horizon, a multiple of period, of an edge meeting on days occ."""
+    return [d + k for k in range(0, horizon, period) for d in occ]
 
 
 def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) -> tuple[bool, ...]:
@@ -256,8 +257,11 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
     while horizon % 6:
         horizon += schedule.period
 
+    occ = schedule.occurrence_lists(artifact.dps.m)
+    period = schedule.period
+
     clock = artifact.clock_edges
-    clock_days = {c: _occurrence_days(schedule, e, horizon) for c, e in clock.items()}
+    clock_days = {c: _occurrence_days(occ[e], period, horizon) for c, e in clock.items()}
     rotation = None
     for r in range(6):
         ok = (
@@ -277,7 +281,7 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
         if rec.color is None:
             continue
         want, mod = residue[rec.color]
-        for d in _occurrence_days(schedule, rec.index, horizon):
+        for d in _occurrence_days(occ[rec.index], period, horizon):
             if (d - rotation) % mod != want:
                 raise ExtractionError(
                     f"edge {rec.index} ({rec.role}) leaves its {rec.color} slots; "
@@ -286,7 +290,7 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
 
     values = []
     for i, pair in enumerate(artifact.var_value_edges, start=1):
-        days = _occurrence_days(schedule, pair["R"], horizon)
+        days = _occurrence_days(occ[pair["R"]], period, horizon)
         residues = {(d - rotation) % 3 for d in days}
         if residues == {0}:
             values.append(True)

@@ -8,7 +8,17 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 
-from polysched.core import DpsInstance, OpsInstance, PeriodicSchedule, UNBOUNDED
+from polysched.core import (
+    DpsInstance,
+    OpsInstance,
+    PeriodicSchedule,
+    UNBOUNDED,
+    Violation,
+    check_structure,
+    matching_violation,
+    recurrence_time,
+)
+from polysched.simplex import LpSolution
 
 
 def heat_by_desire_simulation(instance: OpsInstance, schedule: PeriodicSchedule):
@@ -52,6 +62,33 @@ def max_gap_by_unrolling(schedule: PeriodicSchedule, e: int):
     if not days:
         return UNBOUNDED
     return max(b - a for a, b in zip(days, days[1:]))
+
+
+def per_edge_verify_dps(instance: DpsInstance, schedule: PeriodicSchedule):
+    """`verify_dps` with one scan of the days per edge, through `recurrence_time`."""
+    bad = check_structure(instance.m, schedule) or matching_violation(instance.edges, schedule)
+    if bad is not None:
+        return bad
+    for e in range(instance.m):
+        r = recurrence_time(schedule, e)
+        if r is UNBOUNDED:
+            return Violation("never-scheduled", edge=e,
+                             detail=f"edge {instance.edges[e]} never occurs")
+        if r > instance.freq[e]:
+            return Violation("gap-too-large", edge=e,
+                             detail=f"edge {instance.edges[e]} recurs every {r} > f={instance.freq[e]}")
+    return None
+
+
+def per_edge_heat(instance: OpsInstance, schedule: PeriodicSchedule):
+    """`heat` with one scan of the days per edge, through `recurrence_time`."""
+    bad = check_structure(instance.m, schedule)
+    if bad is not None:
+        raise ValueError(f"schedule does not match instance: {bad}")
+    rates = [recurrence_time(schedule, e) for e in range(instance.m)]
+    if UNBOUNDED in rates:
+        return UNBOUNDED
+    return max((g * r for g, r in zip(instance.growth, rates)), default=Fraction(0))
 
 
 def all_matchings(n: int, edges) -> list[frozenset[int]]:
@@ -169,3 +206,64 @@ def run_under_optimize(script: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     return subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
+
+
+def reference_solve_max(c, a_rows, b) -> LpSolution:
+    """The dense rational-tableau simplex (Bland's rule) that `solve_max` must equal
+    field for field, pivot count included."""
+    m = len(a_rows)
+    n = len(c)
+    if any(len(row) != n for row in a_rows):
+        raise ValueError("ragged constraint matrix")
+    if any(Fraction(v) < 0 for v in b):
+        raise ValueError("this solver requires b >= 0 (slack basis start)")
+
+    tableau = []
+    for i in range(m):
+        row = [Fraction(v) for v in a_rows[i]]
+        row += [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+        row.append(Fraction(b[i]))
+        tableau.append(row)
+    basis = [n + i for i in range(m)]
+    zrow = [Fraction(v) for v in c] + [Fraction(0)] * (m + 1)
+
+    pivots = 0
+    while True:
+        enter = None
+        for j in range(n + m):
+            if zrow[j] > 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best_ratio = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][-1] / coef
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[i] < basis[leave])):
+                    best_ratio = ratio
+                    leave = i
+        if leave is None:
+            raise ValueError("LP is unbounded")
+        piv = tableau[leave][enter]
+        tableau[leave] = [v / piv for v in tableau[leave]]
+        prow = tableau[leave]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [v - f * p for v, p in zip(tableau[i], prow)]
+        f = zrow[enter]
+        zrow = [v - f * p for v, p in zip(zrow, prow)]
+        basis[leave] = enter
+        pivots += 1
+
+    x = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            x[bi] = tableau[i][-1]
+    objective = -zrow[-1]
+    duals = [-zrow[n + i] for i in range(m)]
+    return LpSolution(objective, x, duals, pivots)

@@ -1,8 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import heat_by_desire_simulation, max_gap_by_unrolling
+from helpers import (
+    heat_by_desire_simulation,
+    max_gap_by_unrolling,
+    per_edge_heat,
+    per_edge_verify_dps,
+)
 
 from polysched.core import (
     DpsInstance,
@@ -22,6 +28,13 @@ from polysched.generators import figure1, figure1_schedule, tadpole, triangle_f2
 
 def schedule_of(*days):
     return PeriodicSchedule(len(days), tuple(frozenset(d) for d in days))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def random_instance_and_schedule(rng):
@@ -130,6 +143,31 @@ class TestVerify:
         dps = DpsInstance(3, ((0, 1), (1, 2)), (2, 2))
         violation = verify_dps(dps, schedule_of({0}, {0}))
         assert violation is not None and violation.kind == "never-scheduled"
+
+    def test_matches_per_edge_reference(self):
+        """First violation and heat as a per-edge scan gives, on every violation kind."""
+        rng = random.Random(23)
+        kinds = Counter()
+        for _ in range(400):
+            inst, sched = random_instance_and_schedule(rng)
+            days = [set(d) for d in sched.days]
+            t = rng.randrange(len(days))
+            roll = rng.random()
+            if roll < 0.15:
+                days[t].add(rng.choice([-1, inst.m, inst.m + 3]))
+            elif roll < 0.35:
+                a, b = inst.edges[rng.randrange(inst.m)]
+                days[t].update(e for e, (x, y) in enumerate(inst.edges) if {x, y} & {a, b})
+            sched = PeriodicSchedule(len(days), tuple(days))
+            freq = tuple(rng.randint(1, len(days) + 1) for _ in range(inst.m))
+            dps = DpsInstance(inst.n, inst.edges, freq)
+            expected = per_edge_verify_dps(dps, sched)
+            assert verify_dps(dps, sched) == expected
+            kinds[expected and expected.kind] += 1
+            assert _outcome(heat, inst, sched) == _outcome(per_edge_heat, inst, sched)
+        assert set(kinds) == {None, "bad-edge-index", "not-a-matching",
+                              "never-scheduled", "gap-too-large"}
+        assert min(kinds.values()) >= 20, kinds
 
 
 class TestConversions:

@@ -272,6 +272,27 @@ class TestOptimalHeat:
         assert Fraction(160) in cands
         assert all(c >= inst.g_max for c in cands)
 
+    def test_candidates_match_fraction_loop(self):
+        def reference(inst):
+            hi = (inst.max_degree + 1) * inst.g_max
+            cands = set()
+            for g in set(inst.growth):
+                q = 1
+                while g * q <= hi:
+                    if g * q >= inst.g_max:
+                        cands.add(g * q)
+                    q += 1
+            return sorted(cands)
+
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
+            edges = tuple(rng.sample(pool, rng.randint(1, min(len(pool), 12))))
+            growth = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 6)) for _ in edges)
+            inst = OpsInstance(n, edges, growth)
+            assert heat_candidates(inst) == reference(inst)
+
     def test_probe_monotonicity(self):
         result = ops_optimal_heat(figure1())
         feas = sorted(h for h, v in result.probes.items() if v == FEASIBLE)

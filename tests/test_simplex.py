@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import reference_solve_max
 
+from polysched import bounds
+from polysched.core import OpsInstance
 from polysched.simplex import solve_max
 
 
@@ -58,3 +61,75 @@ def test_random_lps_duality_exact():
             assert sum(rows[i][j] * sol.duals[i] for i in range(len(rows))) >= c[j]
         assert sum(y * bi for y, bi in zip(sol.duals, b)) == sol.objective
         assert sum(cj * xj for cj, xj in zip(c, sol.x)) == sol.objective
+
+
+def _outcome(solver, c, rows, b):
+    try:
+        return solver(c, rows, b)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _random_rational(rng, lo, hi):
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(lo, hi), rng.choice([1, 2, 3, 4, 6, 7, 9]))
+
+
+def test_matches_rational_tableau_on_random_lps():
+    """Same objective, x, duals, pivot count and errors as the rational tableau."""
+    rng = random.Random(29)
+    kinds = {"solved": 0, "unbounded": 0, "degenerate": 0}
+    for case in range(300):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, 7)
+        c = [_random_rational(rng, -3, 8) for _ in range(n)]
+        rows = [[_random_rational(rng, -5, 7) for _ in range(n)] for _ in range(m)]
+        b = [Fraction(0) if rng.random() < 0.3 else _random_rational(rng, 1, 9)
+             for _ in range(m)]
+        if case % 3:  # box constraints keep two thirds of the LPs bounded
+            for j in range(n):
+                rows.append([Fraction(int(i == j)) for i in range(n)])
+                b.append(Fraction(rng.randint(1, 12), rng.randint(1, 5)))
+        expected = _outcome(reference_solve_max, c, rows, b)
+        assert _outcome(solve_max, c, rows, b) == expected
+        if isinstance(expected, tuple):
+            assert expected == (ValueError, "LP is unbounded")
+            kinds["unbounded"] += 1
+        else:
+            kinds["solved"] += 1
+            kinds["degenerate"] += 0 in b and expected.pivots > 0
+    assert kinds["solved"] >= 150 and kinds["unbounded"] >= 30 and kinds["degenerate"] >= 50
+
+
+@pytest.mark.parametrize("c, rows, b", [
+    ([1, 2], [[1, 2], [3]], [1, 1]),
+    ([1], [[1], [2]], [Fraction(1, 2), Fraction(-1, 3)]),
+    ([Fraction(1, 2)], [[Fraction(-2, 3)]], ["0"]),
+    ([1, "1/2"], [["1/3", 1], [2, "-3/4"]], [1, "5/2"]),
+])
+def test_matches_rational_tableau_on_edge_inputs(c, rows, b):
+    assert _outcome(solve_max, c, rows, b) == _outcome(reference_solve_max, c, rows, b)
+
+
+def test_matches_rational_tableau_on_poly_density_lps(monkeypatch):
+    """The LPs `poly_density` builds for dense instances with rational growth."""
+    lps = []
+
+    def recording(c, rows, b):
+        lps.append((c, rows, b))
+        return solve_max(c, rows, b)
+
+    monkeypatch.setattr(bounds, "solve_max", recording)
+    rng = random.Random(41)
+    for _ in range(40):
+        n = rng.randint(6, 9)
+        pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = tuple(sorted(rng.sample(pool, rng.randint(10, min(len(pool), 16)))))
+        growth = tuple(Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in edges)
+        bounds.poly_density(OpsInstance(n, edges, growth))
+    assert len(lps) == 40
+    for c, rows, b in lps:
+        expected = reference_solve_max(c, rows, b)
+        assert solve_max(c, rows, b) == expected
+        assert expected.pivots > 0
