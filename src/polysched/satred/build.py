@@ -16,12 +16,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from ..core import DpsInstance
 from .cnf import CnfFormula
+from .tiling import class_phases
 
-BLUE_PHASE = (1, 4, 7, 10)  # channel c (1-based) uses BLUE_PHASE[(c-1) % 4] mod 12
-GREEN_PHASE = (2, 8)  # and GREEN_PHASE[(c-1) % 2] mod 12
+# the blue (1, 4, 7, 10) and green (2, 8) phases of a 12-day edge: channel c
+# (1-based) uses BLUE_PHASE[(c-1) % 4] and GREEN_PHASE[(c-1) % 2]
+BLUE_PHASE = tuple(class_phases(12, "B"))
+GREEN_PHASE = tuple(class_phases(12, "G"))
 
 
 def channel_blue_phase(c: int) -> int:
@@ -179,20 +183,16 @@ class _Builder:
                 return port
         raise CompileError(f"no compatible port in pool for {what}")
 
-    def consume(self, kind: str, g: GadgetRec, name: str, person: int) -> int:
-        if not self.pools[kind]:
-            raise CompileError(f"constant pool {kind} ran dry at {g.name}:{name}")
-        port = self._pop_compatible(self.pools[kind], person, f"{kind} at {g.name}:{name}")
-        freq, color = KIND_SPEC[kind]
-        src = self.gadgets[port.gid]
-        return self.edge(src, port.name, port.person, g, name, person,
-                         freq, color, f"const-{kind}")
-
-    def consume_phase(self, kind: str, phase: int, g: GadgetRec, name: str, person: int) -> int:
-        pool = self.phase_pools[kind][phase]
+    def consume(self, kind: str, g: GadgetRec, name: str, person: int,
+                phase: int | None = None) -> int:
+        """Edge from the next compatible pooled port; phased kinds need `phase`."""
+        if phase is None:
+            pool, what = self.pools[kind], kind
+        else:
+            pool, what = self.phase_pools[kind][phase], f"{kind}@{phase}"
         if not pool:
-            raise CompileError(f"{kind}@{phase} pool ran dry at {g.name}:{name}")
-        port = self._pop_compatible(pool, person, f"{kind}@{phase} at {g.name}:{name}")
+            raise CompileError(f"constant pool {what} ran dry at {g.name}:{name}")
+        port = self._pop_compatible(pool, person, f"{what} at {g.name}:{name}")
         freq, color = KIND_SPEC[kind]
         src = self.gadgets[port.gid]
         return self.edge(src, port.name, port.person, g, name, person,
@@ -403,42 +403,25 @@ def _build_p6_duplicator(b: _Builder, layers: int, layer: str) -> GadgetRec:
     return g
 
 
-def _build_sb6(b: _Builder) -> GadgetRec:
-    g = b.gadget("SB6", "sorting")
+def _build_splitter(b: _Builder, kind: str) -> GadgetRec:
+    """SB6, SB12 or SG12: one density-1 person fanning a constant class out."""
+    g = b.gadget(kind, "sorting")
     node = b.person(f"{g.name}.s", True)
     g.persons["s"] = node
     b.consume("R3", g, "r3", node)
-    b.consume("G6", g, "g6", node)
+    second = "B3" if kind == "SG12" else "G6"
+    b.consume(second, g, second.lower(), node)
     b.consume("P6", g, "p6", node)
-    b.produce("B6", g, "out1", node)
-    # the paired second output goes straight to its own pendant person
-    pend = b.person(f"{g.name}.pend", False)
-    g.persons["pend"] = pend
-    b.internal(g, "out2", node, pend, 6, "B", "splitter-spare")
-    return g
-
-
-def _build_sb12(b: _Builder) -> GadgetRec:
-    g = b.gadget("SB12", "sorting")
-    node = b.person(f"{g.name}.s", True)
-    g.persons["s"] = node
-    b.consume("R3", g, "r3", node)
-    b.consume("G6", g, "g6", node)
-    b.consume("P6", g, "p6", node)
-    for i, phase in enumerate(BLUE_PHASE):
-        b.produce_phase("B12", phase, g, f"out{i}", node)
-    return g
-
-
-def _build_sg12(b: _Builder) -> GadgetRec:
-    g = b.gadget("SG12", "sorting")
-    node = b.person(f"{g.name}.s", True)
-    g.persons["s"] = node
-    b.consume("R3", g, "r3", node)
-    b.consume("B3", g, "b3", node)
-    b.consume("P6", g, "p6", node)
-    for i, phase in enumerate(GREEN_PHASE):
-        b.produce_phase("G12", phase, g, f"out{i}", node)
+    if kind == "SB6":
+        b.produce("B6", g, "out1", node)
+        # the paired second output goes straight to its own pendant person
+        pend = b.person(f"{g.name}.pend", False)
+        g.persons["pend"] = pend
+        b.internal(g, "out2", node, pend, 6, "B", "splitter-spare")
+        return g
+    out_kind, phases = ("B12", BLUE_PHASE) if kind == "SB12" else ("G12", GREEN_PHASE)
+    for i, phase in enumerate(phases):
+        b.produce_phase(out_kind, phase, g, f"out{i}", node)
     return g
 
 
@@ -511,8 +494,8 @@ def _build_swap(b: _Builder, pair_c: int, tier: int, in1: Port, in2: Port) -> Ga
     b.consume("R3", g, "r3.iv", iv_node)
     b.consume("P6", g, "p6.iv", iv_node)
     b.consume("B6", g, "b6.iv", iv_node)
-    b.consume_phase("B12", (channel_blue_phase(pair_c) + 6) % 12, g, "b12.iv", iv_node)
-    b.consume_phase("G12", (channel_green_phase(pair_c) + 6) % 12, g, "g12.iv", iv_node)
+    b.consume("B12", g, "b12.iv", iv_node, (channel_blue_phase(pair_c) + 6) % 12)
+    b.consume("G12", g, "g12.iv", iv_node, (channel_green_phase(pair_c) + 6) % 12)
     # AND half
     sp_a1 = person("spA1", False)
     sp_a2 = person("spA2", False)
@@ -600,12 +583,9 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
                 _extend_d3_chain(b, chain, rows)
                 lit_chains.append(chain)
 
-    for _ in range(plan["n_b6"]):
-        _build_sb6(b)
-    for _ in range(plan["n_b12"]):
-        _build_sb12(b)
-    for _ in range(plan["n_g12"]):
-        _build_sg12(b)
+    for kind, count in (("SB6", plan["n_b6"]), ("SB12", plan["n_b12"]), ("SG12", plan["n_g12"])):
+        for _ in range(count):
+            _build_splitter(b, kind)
 
     or_gadgets = [_build_or(b, clause, j) for j, clause in enumerate(formula.clauses)]
     channels: list[tuple[Port, int]] = [
@@ -687,20 +667,18 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
 
 
 def _validate(b: _Builder, dps: DpsInstance) -> None:
-    from fractions import Fraction
-
     if any(f not in (3, 6, 9, 12) for f in dps.freq):
         raise CompileError("emitted a frequency outside {3, 6, 9, 12}")
-    load = [Fraction(0)] * dps.n
+    load = [0] * dps.n  # in units of 1/36, which every frequency above divides
     for (x, y), f in zip(dps.edges, dps.freq):
-        load[x] += Fraction(1, f)
-        load[y] += Fraction(1, f)
+        load[x] += 36 // f
+        load[y] += 36 // f
     for p, dense in enumerate(b.density1):
-        if dense and load[p] != 1:
+        if dense and load[p] != 36:
             raise CompileError(
-                f"density-1 person {b.labels[p]} has load {load[p]}"
+                f"density-1 person {b.labels[p]} has load {Fraction(load[p], 36)}"
             )
-        if not dense and load[p] >= 1 and b.labels[p].startswith(("Pendant",)):
+        if not dense and load[p] >= 36 and b.labels[p].startswith(("Pendant",)):
             raise CompileError(f"pendant {b.labels[p]} overloaded")
 
 

@@ -10,6 +10,10 @@ no schedules and phase enumeration covers all slot-respecting local
 schedules. The checks assert exactly the characterizations the reduction
 relies on (e.g. a tension person forces all four 12-day edges blue; an AND
 output can be blue only when both inputs are).
+
+As in the paper, the Swap model is built from the parts that are checked on
+their own: two D12 duplicators, one per input, whose copies feed an Or2 half
+and an And2 half.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ GADGET_KINDS = (
 )
 
 FULL = {3: list(range(3)), 6: list(range(6)), 9: list(range(9)), 12: list(range(12))}
-
-
-def _pin(freq: int, color: str) -> list[int]:
-    return class_phases(freq, color)
 
 
 @dataclass
@@ -85,6 +85,16 @@ def _check(cond: bool, msg: str) -> str | None:
     return None if cond else msg
 
 
+def _forced(names, want: str):
+    """Predicate: every named edge takes exactly the colour set {want}."""
+    def check(sols):
+        for nm in names:
+            if _colors(sols, nm) != {want}:
+                return f"{nm} colors {_colors(sols, nm)} != {want}"
+        return None
+    return check
+
+
 def _scenario(name, model, predicates) -> ScenarioResult:
     sols = model.enumerate()
     problems = []
@@ -105,8 +115,8 @@ def _variable_scenarios():
     model = _Model()
     model.edge("valR", "x", None, 3, FULL[3])
     model.edge("valB", "x", None, 3, FULL[3])
-    model.edge("g6", "x", None, 6, _pin(6, "G"))
-    model.edge("p6", "x", None, 6, _pin(6, "P"))
+    model.edge("g6", "x", None, 6, class_phases(6, "G"))
+    model.edge("p6", "x", None, 6, class_phases(6, "P"))
 
     def both_orders(sols):
         forms = {(sol["valR"][1], sol["valB"][1]) for sol in sols}
@@ -120,84 +130,61 @@ def _d3_scenarios():
     for case, in_color in (("red-input", "R"), ("blue-input", "B")):
         model = _Model()
         nine_color = "B" if in_color == "R" else "R"
-        model.edge("in", "a", None, 3, _pin(3, in_color))
-        model.edge("g6_in", "a", None, 6, _pin(6, "G"))
-        model.edge("p6_out", "a", None, 6, _pin(6, "P"))
+        model.edge("in", "a", None, 3, class_phases(3, in_color))
+        model.edge("g6_in", "a", None, 6, class_phases(6, "G"))
+        model.edge("p6_out", "a", None, 6, class_phases(6, "P"))
         for j in range(3):
             model.edge(f"nine{j}", "a", f"n{j}", 9, FULL[9])
-        model.edge("p6_in", "n0", None, 6, _pin(6, "P"))
-        model.edge("six01", "n0", "n1", 6, _pin(6, "G"))
-        model.edge("six12", "n1", "n2", 6, _pin(6, "P"))
-        model.edge("g6_out", "n2", None, 6, _pin(6, "G"))
+        model.edge("p6_in", "n0", None, 6, class_phases(6, "P"))
+        model.edge("six01", "n0", "n1", 6, class_phases(6, "G"))
+        model.edge("six12", "n1", "n2", 6, class_phases(6, "P"))
+        model.edge("g6_out", "n2", None, 6, class_phases(6, "G"))
         for j in range(3):
             model.edge(f"copy{j}", f"n{j}", None, 3, FULL[3])
             model.edge(f"down{j}a", f"n{j}", None, 9, FULL[9])
             model.edge(f"down{j}b", f"n{j}", None, 9, FULL[9])
-
-        def copies_match(sols, want=in_color):
-            for j in range(3):
-                if _colors(sols, f"copy{j}") != {want}:
-                    return f"copy{j} colors {_colors(sols, f'copy{j}')} != {want}"
-            return None
-
-        def nines_opposite(sols, want=nine_color):
-            names = [f"nine{j}" for j in range(3)]
-            names += [f"down{j}{s}" for j in range(3) for s in "ab"]
-            for nm in names:
-                if _colors(sols, nm) != {want}:
-                    return f"{nm} colors {_colors(sols, nm)} != {want}"
-            return None
-
-        yield case, model, [copies_match, nines_opposite]
+        nines = [f"nine{j}" for j in range(3)]
+        nines += [f"down{j}{s}" for j in range(3) for s in "ab"]
+        yield case, model, [_forced([f"copy{j}" for j in range(3)], in_color),
+                            _forced(nines, nine_color)]
 
 
 def _d6_scenarios():
     for case, in_color, out12 in (("purple-input", "P", "G"), ("green-input", "G", "P")):
         model = _Model()
-        model.edge("root", "a", None, 6, _pin(6, in_color))
-        model.edge("b3_in", "a", None, 3, _pin(3, "B"))
-        model.edge("r3_out", "a", None, 3, _pin(3, "R"))
+        model.edge("root", "a", None, 6, class_phases(6, in_color))
+        model.edge("b3_in", "a", None, 3, class_phases(3, "B"))
+        model.edge("r3_out", "a", None, 3, class_phases(3, "R"))
         model.edge("t12ab", "a", "b", 12, FULL[12])
         model.edge("t12ac", "a", "c", 12, FULL[12])
-        model.edge("r3_in_b", "b", None, 3, _pin(3, "R"))
-        model.edge("b3_bc", "b", "c", 3, _pin(3, "B"))
-        model.edge("r3_out_c", "c", None, 3, _pin(3, "R"))
+        model.edge("r3_in_b", "b", None, 3, class_phases(3, "R"))
+        model.edge("b3_bc", "b", "c", 3, class_phases(3, "B"))
+        model.edge("r3_out_c", "c", None, 3, class_phases(3, "R"))
         model.edge("out_b", "b", None, 6, FULL[6])
         model.edge("out_c", "c", None, 6, FULL[6])
         model.edge("stub_b", "b", None, 12, FULL[12])
         model.edge("stub_c", "c", None, 12, FULL[12])
-
-        def outputs_keep_color(sols, want=in_color):
-            for nm in ("out_b", "out_c"):
-                if _colors(sols, nm) != {want}:
-                    return f"{nm} colors {_colors(sols, nm)} != {want}"
-            return None
-
-        def twelves_flip(sols, want=out12):
-            for nm in ("t12ab", "t12ac", "stub_b", "stub_c"):
-                if _colors(sols, nm) != {want}:
-                    return f"{nm} colors {_colors(sols, nm)} != {want}"
-            return None
-
-        yield case, model, [outputs_keep_color, twelves_flip]
+        yield case, model, [_forced(("out_b", "out_c"), in_color),
+                            _forced(("t12ab", "t12ac", "stub_b", "stub_c"), out12)]
 
 
-def _d12_model(in_domain):
-    model = _Model()
-    model.edge("in", "I", None, 12, in_domain)
-    model.edge("oprime", "I", None, 12, FULL[12])
-    model.edge("obar", "I", "D", 6, FULL[6])
-    for node in ("I", "D"):
-        model.edge(f"r3_{node}", node, None, 3, _pin(3, "R"))
-        model.edge(f"b6_{node}", node, None, 6, _pin(6, "B"))
-        model.edge(f"p6_{node}", node, None, 6, _pin(6, "P"))
-    model.edge("out1", "D", None, 12, FULL[12])
-    model.edge("out2", "D", None, 12, FULL[12])
-    return model
+def _add_d12(model: _Model, side, in_domain, outs) -> None:
+    """A D12 duplicator with input at I{side}; outs: (name, far end) at D{side}."""
+    i_node, d_node = f"I{side}", f"D{side}"
+    model.edge(f"in{side}", i_node, None, 12, in_domain)
+    model.edge(f"oprime{side}", i_node, None, 12, FULL[12])
+    model.edge(f"obar{side}", i_node, d_node, 6, FULL[6])
+    for node in (i_node, d_node):
+        model.edge(f"r3_{node}", node, None, 3, class_phases(3, "R"))
+        model.edge(f"b6_{node}", node, None, 6, class_phases(6, "B"))
+        model.edge(f"p6_{node}", node, None, 6, class_phases(6, "P"))
+    for name, far in outs:
+        model.edge(name, d_node, far, 12, FULL[12])
 
 
 def _d12_scenarios():
-    model = _d12_model(FULL[12])
+    model = _Model()
+    _add_d12(model, "", FULL[12], (("out1", None), ("out2", None)))
 
     def same_color(sols):
         for sol in sols:
@@ -219,9 +206,9 @@ def _or_scenarios():
         name = "inputs-" + "".join("R" if r else "B" for r in reds)
         model = _Model()
         for j, red in enumerate(reds):
-            model.edge(f"lit{j}", f"i{j}", None, 3, _pin(3, "R" if red else "B"))
+            model.edge(f"lit{j}", f"i{j}", None, 3, class_phases(3, "R" if red else "B"))
             model.edge(f"t12_{j}", f"i{j}", "or", 12, FULL[12])
-        model.edge("r3", "or", None, 3, _pin(3, "R"))
+        model.edge("r3", "or", None, 3, class_phases(3, "R"))
         model.edge("six1", "or", None, 6, FULL[6])
         model.edge("six2", "or", None, 6, FULL[6])
         model.edge("out", "or", None, 12, FULL[12])
@@ -241,29 +228,29 @@ def _or_scenarios():
         yield name, model, [out_range]
 
 
-def _or2_model(in1_domain, in2_domain):
-    model = _Model()
-    model.edge("in1", "V", None, 12, in1_domain)
-    model.edge("in2", "V", None, 12, in2_domain)
+def _add_or2(model: _Model, out: str) -> None:
+    """An Or2 gate whose inputs end at V; its output edge `out` leaves IV."""
     model.edge("vs12", "V", None, 12, FULL[12])
     model.edge("vs6", "V", None, 6, FULL[6])
     model.edge("vprime", "V", "IV", 12, FULL[12])
-    model.edge("r3_V", "V", None, 3, _pin(3, "R"))
-    model.edge("p6_V", "V", None, 6, _pin(6, "P"))
-    model.edge("r3_IV", "IV", None, 3, _pin(3, "R"))
-    model.edge("p6_IV", "IV", None, 6, _pin(6, "P"))
-    model.edge("b6_IV", "IV", None, 6, _pin(6, "B"))
-    model.edge("b12_IV", "IV", None, 12, _pin(12, "B"))
-    model.edge("g12_IV", "IV", None, 12, _pin(12, "G"))
-    model.edge("out", "IV", None, 12, FULL[12])
-    return model
+    model.edge("r3_V", "V", None, 3, class_phases(3, "R"))
+    model.edge("p6_V", "V", None, 6, class_phases(6, "P"))
+    model.edge("r3_IV", "IV", None, 3, class_phases(3, "R"))
+    model.edge("p6_IV", "IV", None, 6, class_phases(6, "P"))
+    model.edge("b6_IV", "IV", None, 6, class_phases(6, "B"))
+    model.edge("b12_IV", "IV", None, 12, class_phases(12, "B"))
+    model.edge("g12_IV", "IV", None, 12, class_phases(12, "G"))
+    model.edge(out, "IV", None, 12, FULL[12])
 
 
-def _gate_scenarios(make_model, blue_rule):
+def _gate_scenarios(add_gate, node, blue_rule):
     """Scenarios over input colors for the 2-input sorting-layer gates."""
     for c1, c2 in product("BG", repeat=2):
         name = f"inputs-{c1}{c2}"
-        model = make_model(_pin(12, c1), _pin(12, c2))
+        model = _Model()
+        model.edge("in1", node, None, 12, class_phases(12, c1))
+        model.edge("in2", node, None, 12, class_phases(12, c2))
+        add_gate(model, "out")
         blue_allowed = blue_rule(c1, c2)
 
         def out_ok(sols, blue_allowed=blue_allowed):
@@ -282,28 +269,25 @@ def _gate_scenarios(make_model, blue_rule):
 
 
 def _or2_scenarios():
-    yield from _gate_scenarios(_or2_model, lambda c1, c2: "B" in (c1, c2))
+    yield from _gate_scenarios(_add_or2, "V", lambda c1, c2: "B" in (c1, c2))
 
 
-def _and2_model(in1_domain, in2_domain):
-    model = _Model()
-    model.edge("in1", "A", None, 12, in1_domain)
-    model.edge("in2", "A", None, 12, in2_domain)
+def _add_and2(model: _Model, out: str) -> None:
+    """An And2 gate whose inputs end at A; its output edge `out` leaves IA."""
     model.edge("as12a", "A", None, 12, FULL[12])
     model.edge("as12b", "A", None, 12, FULL[12])
     model.edge("aand", "A", "IA", 6, FULL[6])
-    model.edge("r3_A", "A", None, 3, _pin(3, "R"))
-    model.edge("p6_A", "A", None, 6, _pin(6, "P"))
-    model.edge("r3_IA", "IA", None, 3, _pin(3, "R"))
-    model.edge("b6_IA", "IA", None, 6, _pin(6, "B"))
-    model.edge("p6_IA", "IA", None, 6, _pin(6, "P"))
+    model.edge("r3_A", "A", None, 3, class_phases(3, "R"))
+    model.edge("p6_A", "A", None, 6, class_phases(6, "P"))
+    model.edge("r3_IA", "IA", None, 3, class_phases(3, "R"))
+    model.edge("b6_IA", "IA", None, 6, class_phases(6, "B"))
+    model.edge("p6_IA", "IA", None, 6, class_phases(6, "P"))
     model.edge("aprime", "IA", None, 12, FULL[12])
-    model.edge("out", "IA", None, 12, FULL[12])
-    return model
+    model.edge(out, "IA", None, 12, FULL[12])
 
 
 def _and2_scenarios():
-    yield from _gate_scenarios(_and2_model, lambda c1, c2: (c1, c2) == ("B", "B"))
+    yield from _gate_scenarios(_add_and2, "A", lambda c1, c2: (c1, c2) == ("B", "B"))
 
 
 def _splitter_scenarios(kind):
@@ -321,61 +305,25 @@ def _splitter_scenarios(kind):
         outs = [("out1", 12), ("out2", 12)]
         want = "G"
     for name, freq, color in pins:
-        model.edge(name, "s", None, freq, _pin(freq, color))
+        model.edge(name, "s", None, freq, class_phases(freq, color))
     for name, freq in outs:
         model.edge(name, "s", None, freq, FULL[freq])
-
-    def outs_forced(sols, want=want, outs=outs):
-        for nm, _ in outs:
-            if _colors(sols, nm) != {want}:
-                return f"{nm} colors {_colors(sols, nm)} != {want}"
-        return None
-
-    yield "free", model, [outs_forced]
+    yield "free", model, [_forced([nm for nm, _ in outs], want)]
 
 
 def _swap_model(in1_domain, in2_domain):
     model = _Model()
     for side, dom in ((1, in1_domain), (2, in2_domain)):
-        model.edge(f"in{side}", f"I{side}", None, 12, dom)
-        model.edge(f"oprime{side}", f"I{side}", None, 12, FULL[12])
-        model.edge(f"obar{side}", f"I{side}", f"D{side}", 6, FULL[6])
-        for node in (f"I{side}", f"D{side}"):
-            model.edge(f"r3_{node}", node, None, 3, _pin(3, "R"))
-            model.edge(f"p6_{node}", node, None, 6, _pin(6, "P"))
-            model.edge(f"b6_{node}", node, None, 6, _pin(6, "B"))
-    model.edge("o11", "D1", "V", 12, FULL[12])
-    model.edge("o12", "D1", "A", 12, FULL[12])
-    model.edge("o21", "D2", "V", 12, FULL[12])
-    model.edge("o22", "D2", "A", 12, FULL[12])
-    model.edge("vs12", "V", None, 12, FULL[12])
-    model.edge("vs6", "V", None, 6, FULL[6])
-    model.edge("vprime", "V", "IV", 12, FULL[12])
-    model.edge("r3_V", "V", None, 3, _pin(3, "R"))
-    model.edge("p6_V", "V", None, 6, _pin(6, "P"))
-    model.edge("r3_IV", "IV", None, 3, _pin(3, "R"))
-    model.edge("p6_IV", "IV", None, 6, _pin(6, "P"))
-    model.edge("b6_IV", "IV", None, 6, _pin(6, "B"))
-    model.edge("b12_IV", "IV", None, 12, _pin(12, "B"))
-    model.edge("g12_IV", "IV", None, 12, _pin(12, "G"))
-    model.edge("out_or", "IV", None, 12, FULL[12])
-    model.edge("as12a", "A", None, 12, FULL[12])
-    model.edge("as12b", "A", None, 12, FULL[12])
-    model.edge("aand", "A", "IA", 6, FULL[6])
-    model.edge("r3_A", "A", None, 3, _pin(3, "R"))
-    model.edge("p6_A", "A", None, 6, _pin(6, "P"))
-    model.edge("r3_IA", "IA", None, 3, _pin(3, "R"))
-    model.edge("b6_IA", "IA", None, 6, _pin(6, "B"))
-    model.edge("p6_IA", "IA", None, 6, _pin(6, "P"))
-    model.edge("aprime", "IA", None, 12, FULL[12])
-    model.edge("out_and", "IA", None, 12, FULL[12])
+        _add_d12(model, side, dom, ((f"o{side}1", "V"), (f"o{side}2", "A")))
+    _add_or2(model, "out_or")
+    _add_and2(model, "out_and")
     return model
 
 
 def _swap_scenarios():
     for c1, c2 in product("BG", repeat=2):
         name = f"inputs-{c1}{c2}"
-        model = _swap_model(_pin(12, c1), _pin(12, c2))
+        model = _swap_model(class_phases(12, c1), class_phases(12, c2))
         or_blue_ok = "B" in (c1, c2)
         and_blue_ok = (c1, c2) == ("B", "B")
 
@@ -404,17 +352,10 @@ def _tension_scenarios():
     model = _Model()
     for i in range(4):
         model.edge(f"in{i}", "T", None, 12, FULL[12])
-    model.edge("r3", "T", None, 3, _pin(3, "R"))
-    model.edge("g6", "T", None, 6, _pin(6, "G"))
-    model.edge("p6", "T", None, 6, _pin(6, "P"))
-
-    def all_blue(sols):
-        for i in range(4):
-            if _colors(sols, f"in{i}") != {"B"}:
-                return f"in{i} colors {_colors(sols, f'in{i}')} != blue"
-        return None
-
-    yield "free", model, [all_blue]
+    model.edge("r3", "T", None, 3, class_phases(3, "R"))
+    model.edge("g6", "T", None, 6, class_phases(6, "G"))
+    model.edge("p6", "T", None, 6, class_phases(6, "P"))
+    yield "free", model, [_forced([f"in{i}" for i in range(4)], "B")]
 
 
 _SCENARIOS = {

@@ -17,7 +17,7 @@ from .build import (
     channel_blue_phase,
     channel_green_phase,
 )
-from .tiling import PERIOD, class_phases, occ_mask, solve_first
+from .tiling import PERIOD, SLOT, class_phases, occ_mask, solve_first
 
 
 class SynthesisRefused(ValueError):
@@ -81,8 +81,6 @@ def simulate_channels(artifact: ReductionArtifact, assignment) -> dict[int, str]
 
 def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSchedule:
     """Valid period-36 schedule; refuses if fewer than k clauses are satisfied."""
-    formula = artifact.formula
-    _check_assignment(artifact, assignment)
     channel_colors = simulate_channels(artifact, assignment)
     dps = artifact.dps
     phases: dict[int, int] = {}
@@ -99,39 +97,19 @@ def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSche
         masks[b] = masks.get(b, 0) | mask
         phases[e] = phase
 
-    value_class: dict[int, int] = {}  # variable -> 0 if x_i red(True) else 1
-    padded = max(2, (artifact.formula.num_vars + 1) // 2 * 2)
-    for i in range(1, padded + 1):
-        if i <= formula.num_vars:
-            value_class[i] = 0 if assignment[i - 1] else 1
-        else:
-            value_class[i] = 0  # padding variables: arbitrary, fixed True
-
     # pass 1: every edge whose phase is forced
     for rec in artifact.edge_recs:
         e = rec.index
         freq = rec.freq
-        if rec.color == "R" and freq == 3:
-            assign(e, 0)
-        elif rec.color == "B" and freq == 3:
-            assign(e, 1)
-        elif rec.color == "G" and freq == 6:
-            assign(e, 2)
-        elif rec.color == "P" and freq == 6:
-            assign(e, 5)
+        if rec.color is not None and SLOT[rec.color][1] == freq:
+            assign(e, SLOT[rec.color][0])  # the colour's one phase at its own period
         elif rec.color in ("B", "G") and freq == 12 and rec.role in (
             "const-B12", "const-G12", "surplus-B12", "surplus-G12",
         ):
             src = artifact.gadget(rec.src[0])
             assign(e, src.meta["port_phase"][rec.src[1]] % 12)
-        elif rec.role == "value":
-            var, pol = _value_edge_literal(artifact, rec)
-            red = (value_class[var] == 0) == (pol > 0)
-            assign(e, 0 if red else 1)
-        elif rec.role == "value-spare":
-            var, pol = _value_edge_literal(artifact, rec)
-            red = (value_class[var] == 0) == (pol > 0)
-            assign(e, 0 if red else 1)
+        elif rec.role in ("value", "value-spare"):
+            assign(e, SLOT["R" if _literal_red(artifact, rec, assignment) else "B"][0])
         elif e in channel_colors:
             c = artifact.channel_of_edge[e]
             color = channel_colors[e]
@@ -152,7 +130,7 @@ def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSche
                 continue
             seen.add(e)
             rec = artifact.edge_recs[e]
-            domain = _free_domain(artifact, rec, channel_colors, value_class)
+            domain = _free_domain(artifact, rec, assignment)
             free.append((e, rec.freq, domain))
             endpoints[e] = (rec.a, rec.b)
         if not free:
@@ -178,56 +156,31 @@ def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSche
     return schedule
 
 
-def _value_edge_literal(artifact: ReductionArtifact, rec) -> tuple[int, int]:
-    """Which literal a value edge carries, from its source gadget."""
+def _literal_red(artifact: ReductionArtifact, rec, assignment) -> bool:
+    """Whether the literal an edge carries out of its source gadget is True.
+
+    The source is a Variable (port valR carries x, valB carries not-x) or a
+    literal duplication chain; a padding variable, beyond the formula's
+    variables, reads as True.
+    """
     src = artifact.gadget(rec.src[0])
     if src.kind == "Variable":
-        var = src.meta["var"]
-        pol = 1 if rec.src[1] == "valR" else -1
-        return var, pol
-    if src.kind == "D3":
-        signal = src.meta["signal"]
-        if signal[0] == "lit":
-            return signal[1], signal[2]
-    dst = artifact.gadget(rec.dst[0])
-    if dst.kind == "Variable":
-        var = dst.meta["var"]
-        pol = 1 if rec.dst[1] == "valR" else -1
-        return var, pol
-    if dst.kind == "D3":
-        signal = dst.meta["signal"]
-        if signal[0] == "lit":
-            return signal[1], signal[2]
-    raise SynthesisError(f"value edge {rec.index} has no literal source")
+        var, pol = src.meta["var"], 1 if rec.src[1] == "valR" else -1
+    elif src.kind == "D3" and src.meta["signal"][0] == "lit":
+        _, var, pol = src.meta["signal"]
+    else:
+        raise SynthesisError(f"edge {rec.index} ({rec.role}) has no literal source")
+    value = var > artifact.formula.num_vars or bool(assignment[var - 1])
+    return value == (pol > 0)
 
 
-def _free_domain(artifact, rec, channel_colors, value_class) -> list[int]:
-    freq = rec.freq
-    if rec.role == "nine":
-        src = artifact.gadget(rec.src[0])
-        signal = src.meta["signal"] if src.kind == "D3" else None
-        if signal is None:
-            raise SynthesisError("nine edge outside a duplication chain")
-        if signal[0] == "lit":
-            var, pol = signal[1], signal[2]
-            red_copies = (value_class[var] == 0) == (pol > 0)
-            color = "B" if red_copies else "R"  # nines take the opposite class
-        else:
-            color = "B" if signal[1] == "R3" else "R"
-        return class_phases(9, color)
-    if rec.role == "stub-spare" and freq == 9:
-        src = artifact.gadget(rec.src[0])
-        signal = src.meta["signal"]
-        if signal[0] == "lit":
-            var, pol = signal[1], signal[2]
-            red_copies = (value_class[var] == 0) == (pol > 0)
-            color = "B" if red_copies else "R"
-        else:
-            color = "B" if signal[1] == "R3" else "R"
-        return class_phases(9, color)
+def _free_domain(artifact, rec, assignment) -> list[int]:
     if rec.color is not None:
-        return class_phases(freq, rec.color)
-    return list(range(freq))
+        return class_phases(rec.freq, rec.color)
+    if rec.freq == 9:
+        # a literal chain's nine-edges take the class opposite to its copies
+        return class_phases(9, "B" if _literal_red(artifact, rec, assignment) else "R")
+    return list(range(rec.freq))
 
 
 # -- extraction ---------------------------------------------------------------
@@ -260,27 +213,18 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
     occ = schedule.occurrence_lists(artifact.dps.m)
     period = schedule.period
 
-    clock = artifact.clock_edges
-    clock_days = {c: _occurrence_days(occ[e], period, horizon) for c, e in clock.items()}
-    rotation = None
-    for r in range(6):
-        ok = (
-            all((d - r) % 3 == 0 for d in clock_days["R"])
-            and all((d - r) % 3 == 1 for d in clock_days["B"])
-            and all((d - r) % 6 == 2 for d in clock_days["G"])
-            and all((d - r) % 6 == 5 for d in clock_days["P"])
-        )
-        if ok:
-            rotation = r
-            break
+    clock_days = {c: _occurrence_days(occ[e], period, horizon)
+                  for c, e in artifact.clock_edges.items()}
+    rotation = next((r for r in range(6) if all(
+        (d - r) % SLOT[c][1] == SLOT[c][0] for c, days in clock_days.items() for d in days
+    )), None)
     if rotation is None:
         raise ExtractionError("no rotation aligns the clock to the slot classes")
 
-    residue = {"R": (0, 3), "B": (1, 3), "G": (2, 6), "P": (5, 6)}
     for rec in artifact.edge_recs:
         if rec.color is None:
             continue
-        want, mod = residue[rec.color]
+        want, mod = SLOT[rec.color]
         for d in _occurrence_days(occ[rec.index], period, horizon):
             if (d - rotation) % mod != want:
                 raise ExtractionError(
@@ -289,12 +233,13 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
                 )
 
     values = []
+    red, mod = SLOT["R"]  # a value edge keeps to red or to blue slots, both mod 3
     for i, pair in enumerate(artifact.var_value_edges, start=1):
         days = _occurrence_days(occ[pair["R"]], period, horizon)
-        residues = {(d - rotation) % 3 for d in days}
-        if residues == {0}:
+        residues = {(d - rotation) % mod for d in days}
+        if residues == {red}:
             values.append(True)
-        elif residues == {1}:
+        elif residues == {SLOT["B"][0]}:
             values.append(False)
         else:
             raise ExtractionError(f"variable {i} value edge not slot-aligned: {residues}")

@@ -5,6 +5,10 @@ valid 36-day schedule occurs exactly every f days (gaps sum to 36 while
 each is at most f), so an edge's schedule is determined by its phase in
 0..f-1. Assigning phases subject to per-person disjointness therefore
 enumerates exactly the valid local schedules.
+
+`SLOT` is the one table of slot residues: a day belongs to colour c's
+slots iff day % modulus == residue. Everything else that knows a colour's
+days (phase domains, synthesis phases, extraction) reads it from here.
 """
 
 from __future__ import annotations
@@ -13,12 +17,12 @@ from collections.abc import Iterator
 
 PERIOD = 36
 
-# slot classes: day residues
-RED = frozenset(d for d in range(PERIOD) if d % 3 == 0)
-BLUE = frozenset(d for d in range(PERIOD) if d % 3 == 1)
-GREEN = frozenset(d for d in range(PERIOD) if d % 6 == 2)
-PURPLE = frozenset(d for d in range(PERIOD) if d % 6 == 5)
-CLASS_DAYS = {"R": RED, "B": BLUE, "G": GREEN, "P": PURPLE}
+# slot classes: colour -> (residue, modulus)
+SLOT = {"R": (0, 3), "B": (1, 3), "G": (2, 6), "P": (5, 6)}
+CLASS_DAYS = {
+    color: frozenset(range(residue, PERIOD, mod)) for color, (residue, mod) in SLOT.items()
+}
+RED, BLUE, GREEN, PURPLE = (CLASS_DAYS[c] for c in "RBGP")
 
 
 def occ_mask(freq: int, phase: int) -> int:

@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 from helpers import count_satisfied, small_formula_family
 
-from polysched.core import PeriodicSchedule, heat, verify_dps
+from polysched.core import DpsInstance, PeriodicSchedule, heat, verify_dps
+from polysched.fileio import emit_schedule
 from polysched.satred import (
     CnfFormula,
     SynthesisRefused,
@@ -19,7 +21,13 @@ from polysched.satred import (
     parse_dimacs,
     synthesize_schedule,
 )
-from polysched.satred.build import comparator_order, density_one_persons
+from polysched.satred.build import (
+    CompileError,
+    _Builder,
+    _validate,
+    comparator_order,
+    density_one_persons,
+)
 
 
 def formula_family():
@@ -92,6 +100,24 @@ class TestCompile:
         assert a1.dps == a2.dps
         assert a1.provenance_lines() == a2.provenance_lines()
 
+    @pytest.mark.parametrize("persons, freqs, message", [
+        # a star from person 0; (label, density-1) per person, one frequency per leaf
+        ((("a", True), ("b", False), ("c", False)), (6, 3),
+         "density-1 person a has load 1/2"),
+        ((("a", False), ("b", False), ("c", False)), (5, 3),
+         "emitted a frequency outside {3, 6, 9, 12}"),
+        ((("Pendant0.p", False), ("b", False), ("c", False), ("d", False)), (3, 3, 3),
+         "pendant Pendant0.p overloaded"),
+    ])
+    def test_validate_rejects(self, persons, freqs, message):
+        b = _Builder(CnfFormula(0, (), 0))
+        for label, dense in persons:
+            b.person(label, dense)
+        edges = tuple((0, leaf) for leaf in range(1, len(persons)))
+        with pytest.raises(CompileError) as info:
+            _validate(b, DpsInstance(len(persons), edges, freqs))
+        assert str(info.value) == message
+
     def test_comparator_network_sorts(self):
         # 0-1 principle: the comparator order must sort every binary input
         for m in range(1, 9):
@@ -143,6 +169,36 @@ class TestSynthesis:
             )
             assert extract_assignment(art, rotated) == assignment
 
+    def test_synthesis_output_is_pinned(self):
+        # sha256 digests of the demo formula's provenance and of every
+        # synthesized schedule reaching k, with the assignment read back
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        formula = demo_formula()
+        art = compile_formula(formula)
+        assert digest("\n".join(art.provenance_lines())) == (
+            "d417acd863fe5f6a53c80303fb70b5427f17d25617b33a45a90425bfca182f22")
+        got = {}
+        for assignment in itertools.product((False, True), repeat=3):
+            if formula.count_satisfied(assignment) >= formula.k:
+                schedule = synthesize_schedule(art, assignment)
+                got["".join("01"[v] for v in assignment)] = (
+                    digest(emit_schedule(art.dps, schedule)),
+                    extract_assignment(art, schedule))
+        assert got == {
+            "000": ("6cc6822f414d34eb421a23e6991ef91bd10e27b2056e5824725e90b892da7611",
+                    (False, False, False)),
+            "010": ("374117be5a111a9009bda7f00fd841701c0c837e4eb64c11cde22d9c1518e854",
+                    (False, True, False)),
+            "011": ("2b2ea5a0a2aa3a97e8aea77625f664418e883aa78b211fa0171c4e184633ae67",
+                    (False, True, True)),
+            "100": ("8dd1b8cd8391fc84b798401d562897a9dad85af80e5bb155a76b268d88ef27a5",
+                    (True, False, False)),
+            "110": ("2127c2222601a47e0aa585894724d6b9f5077459ccc72c01e4754d76cc18e2f4",
+                    (True, True, False)),
+        }
+
     def test_extraction_requires_valid_schedule(self):
         art = compile_formula(demo_formula())
         bogus = PeriodicSchedule(1, (frozenset(),))
@@ -188,6 +244,24 @@ class TestGadgetChecks:
         for kind, verdict in verdicts.items():
             assert verdict.ok, f"{kind}: " + "; ".join(
                 f"{s.name}: {s.detail}" for s in verdict.scenarios if not s.ok)
+        counts = {kind: {s.name: s.solutions for s in verdict.scenarios}
+                  for kind, verdict in verdicts.items()}
+        assert counts == {
+            "Variable": {"free": 2},
+            "D3": {"red-input": 48, "blue-input": 48},
+            "D6": {"purple-input": 2, "green-input": 2},
+            "D12": {"free-input": 24},
+            "OR": {"inputs-BBB": 48, "inputs-BBR": 80, "inputs-BRB": 80, "inputs-BRR": 144,
+                   "inputs-RBB": 80, "inputs-RBR": 144, "inputs-RRB": 144, "inputs-RRR": 288},
+            "Or2": {"inputs-BB": 80, "inputs-BG": 48, "inputs-GB": 48, "inputs-GG": 16},
+            "And2": {"inputs-BB": 112, "inputs-BG": 32, "inputs-GB": 32, "inputs-GG": 16},
+            "SB6": {"free": 2},
+            "SB12": {"free": 24},
+            "SG12": {"free": 2},
+            "Swap": {"inputs-BB": 13312, "inputs-BG": 3072, "inputs-GB": 3072,
+                     "inputs-GG": 2048},
+            "Tension": {"free": 24},
+        }
 
     def test_tension_forces_blue(self):
         verdict = gadget_local_check("Tension")
