@@ -60,9 +60,9 @@ def bamboo_bound(instance: OpsInstance) -> BoundReport:
     return BoundReport("bamboo", best, best_p)
 
 
-def total_growth_bound(instance: OpsInstance, cap: int = 24) -> BoundReport:
+def total_growth_bound(instance: OpsInstance) -> BoundReport:
     """G / m for G the total growth and m the maximum matching size."""
-    m_size = maximum_matching_size(instance.n, instance.edges, cap=cap)
+    m_size = maximum_matching_size(instance.n, instance.edges)
     if m_size == 0:
         raise ValueError("instance has no edges")
     return BoundReport("mass", instance.total_growth / m_size, None)
@@ -86,9 +86,12 @@ def subset_bound(instance: OpsInstance, subset, inner) -> BoundReport:
                        (tuple(subset), report.certificate))
 
 
-def dual_value(instance: OpsInstance, weights: DualWeights, cap: int = 24) -> Fraction:
-    """1 / max over maximal matchings of sum z_e / g_e: a certified lower bound."""
-    matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=cap)
+def dual_value(instance: OpsInstance, weights: DualWeights) -> Fraction:
+    """1 / max over maximal matchings of sum z_e / g_e: a certified lower bound.
+
+    Raises MatchingCapExceeded beyond MATCHING_CAP edges.
+    """
+    matchings = enumerate_maximal_matchings(instance.n, instance.edges)
     worst = max(
         sum((weights.z[e] / instance.growth[e] for e in mm), Fraction(0))
         for mm in matchings
@@ -107,14 +110,15 @@ class PolyDensityResult:
     primal_objective: Fraction  # l*, equals x* exactly
 
 
-def poly_density(instance: OpsInstance, cap: int = 24) -> PolyDensityResult:
+def poly_density(instance: OpsInstance) -> PolyDensityResult:
     """Exact optimum of the fractional relaxation over enumerated maximal matchings.
 
     Solves the primal LP with an exact rational simplex and reads the dual
     weights off the slack columns; strong duality (l* = x*) is checked
     exactly, and the returned z recomputes the value through dual_value.
+    Raises MatchingCapExceeded beyond MATCHING_CAP edges.
     """
-    matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=cap)
+    matchings = enumerate_maximal_matchings(instance.n, instance.edges)
     n_m = len(matchings)
     m = instance.m
     # variables: l, y_1..y_K
@@ -146,7 +150,7 @@ def poly_density(instance: OpsInstance, cap: int = 24) -> PolyDensityResult:
         if sum((z[e] / instance.growth[e] for e in mm), Fraction(0)) > x_star:
             raise RuntimeError(f"dual constraint of matching {sorted(mm)} exceeds {x_star}")
     value = 1 / x_star
-    if dual_value(instance, weights, cap=cap) < value:
+    if dual_value(instance, weights) < value:
         raise RuntimeError(f"dual value of the weights is below the poly density {value}")
     primal = tuple(
         (mm, sol.x[1 + i]) for i, mm in enumerate(matchings) if sol.x[1 + i] != 0
@@ -154,17 +158,18 @@ def poly_density(instance: OpsInstance, cap: int = 24) -> PolyDensityResult:
     return PolyDensityResult(value, weights, x_star, primal, ell)
 
 
-def poly_density_bound(instance: OpsInstance, cap: int = 24) -> BoundReport:
-    result = poly_density(instance, cap=cap)
+def poly_density_bound(instance: OpsInstance) -> BoundReport:
+    result = poly_density(instance)
     return BoundReport("polydensity", result.value, result.dual)
 
 
-def best_bound(instance: OpsInstance, cap: int = 24) -> BoundReport:
-    """Max of trivial, bamboo, total-growth, and (within cap) poly density."""
+def best_bound(instance: OpsInstance) -> BoundReport:
+    """Max of trivial, bamboo, total-growth and poly density; poly density is
+    left out beyond MATCHING_CAP edges."""
     reports = [trivial_bound(instance), bamboo_bound(instance),
-               total_growth_bound(instance, cap=cap)]
+               total_growth_bound(instance)]
     try:
-        reports.append(poly_density_bound(instance, cap=cap))
+        reports.append(poly_density_bound(instance))
     except MatchingCapExceeded:
         pass
     return max(reports, key=lambda r: (r.value, r.method))
@@ -187,7 +192,7 @@ def growth_proportional_weights(instance: OpsInstance) -> DualWeights:
     return DualWeights(tuple(g / g_total for g in instance.growth))
 
 
-def verify_certificate(instance: OpsInstance, report: BoundReport, cap: int = 24) -> bool:
+def verify_certificate(instance: OpsInstance, report: BoundReport) -> bool:
     """Recompute the claimed value from the certificate."""
     if report.method == "trivial":
         return report.value == trivial_bound(instance).value
@@ -197,9 +202,9 @@ def verify_certificate(instance: OpsInstance, report: BoundReport, cap: int = 24
                      if p in (a, b)), Fraction(0))
         return total == report.value
     if report.method == "mass":
-        return report.value == total_growth_bound(instance, cap=cap).value
+        return report.value == total_growth_bound(instance).value
     if report.method == "polydensity":
-        return dual_value(instance, report.certificate, cap=cap) == report.value
+        return dual_value(instance, report.certificate) == report.value
     if report.method.startswith("subset+"):
         subset, inner_cert = report.certificate
         sub = OpsInstance(instance.n,
@@ -207,5 +212,5 @@ def verify_certificate(instance: OpsInstance, report: BoundReport, cap: int = 24
                           tuple(instance.growth[e] for e in subset))
         inner_method = report.method.split("+", 1)[1]
         inner_report = BoundReport(inner_method, report.value, inner_cert)
-        return verify_certificate(sub, inner_report, cap=cap)
+        return verify_certificate(sub, inner_report)
     return False

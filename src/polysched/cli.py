@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .coloring import round_robin_schedule, trivial_vs_ratio_bound
+from .coloring import trivial_vs_ratio_bound
 from .core import (
     DpsInstance,
     OpsInstance,
@@ -34,8 +34,9 @@ from .generators import (
     figure1_schedule,
     generate,
 )
-from .layering import layered_schedule, ratio_guarantee
-from .report import format_table, run_suite, seeded_suite
+from .layering import ratio_guarantee
+from .matchings import MATCHING_CAP
+from .report import format_table, run_one, run_suite, seeded_suite
 from .satred import (
     CnfFormula,
     SynthesisRefused,
@@ -150,24 +151,18 @@ def cmd_heat(args) -> int:
 
 def cmd_schedule(args) -> int:
     instance = _load_ops(args.instance)
+    row = run_one(args.instance, instance, args.algo)
+    print(f"heat {format_rational(row.achieved)}")
     if args.algo == "coloring":
-        schedule = round_robin_schedule(instance)
-        achieved = heat(instance, schedule)
-        print(f"heat {format_rational(achieved)}")
         print(f"guarantee {trivial_vs_ratio_bound(instance)}")
     else:
-        result = layered_schedule(instance)
-        schedule = result.schedule
-        achieved = result.achieved_heat
-        print(f"heat {format_rational(achieved)}")
-        print(f"layers L={result.chosen_level}")
+        print(f"layers {row.verdict}")
         print(f"guarantee {ratio_guarantee(instance):.3f}")
-    best = bounds_mod.best_bound(instance)
-    print(f"bound {format_rational(best.value)} ({best.method})")
-    if best.value > 0:
-        print(f"ratio {format_rational(achieved / best.value)}")
+    print(f"bound {format_rational(row.bound)} ({row.bound_method})")
+    if row.ratio is not None:
+        print(f"ratio {format_rational(row.ratio)}")
     if args.emit_schedule:
-        _write(args.emit_schedule, emit_schedule(instance, schedule))
+        _write(args.emit_schedule, emit_schedule(instance, row.schedule))
     return EX_OK
 
 
@@ -323,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--emit-schedule")
         p.add_argument("--max-states", type=int, default=50_000_000)
         p.add_argument("--time-limit", type=float, default=None)
-        p.add_argument("--matching-cap", type=int, default=24)
+        p.add_argument("--matching-cap", type=int, default=MATCHING_CAP)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("bound", help="instance-specific lower bounds")

@@ -11,7 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import OpsInstance, PeriodicSchedule
+from .core import OpsInstance, PeriodicSchedule, degrees
+
+# most edges the exact backtracking colorer accepts; beyond it the exact
+# answers are None and only the Delta+1 coloring bound is known
+COLORING_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -42,11 +46,7 @@ def color_edges(n: int, edges: tuple[tuple[int, int], ...]) -> EdgeColoring:
     m = len(edges)
     if m == 0:
         return EdgeColoring((), 0)
-    deg = [0] * n
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    n_colors = max(deg) + 1
+    n_colors = max(degrees(n, edges)) + 1
 
     color: list[int | None] = [None] * m
     used: list[dict[int, int]] = [dict() for _ in range(n)]  # vertex -> color -> edge
@@ -155,9 +155,9 @@ def exact_edge_colorable(
     n: int,
     edges: tuple[tuple[int, int], ...],
     h: int,
-    cap: int = 40,
 ) -> bool | None:
-    """Whether a proper h-edge-coloring exists, by backtracking; None beyond the cap.
+    """Whether a proper h-edge-coloring exists, by backtracking; None beyond
+    COLORING_CAP edges.
 
     Symmetry breaking: edge i may only open color max_used+1; edges are
     tried in a most-constrained (high degree-sum) static order.
@@ -169,12 +169,9 @@ def exact_edge_colorable(
         return True
     if h == 0:
         return False
-    if m > cap:
+    if m > COLORING_CAP:
         return None
-    deg = [0] * n
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
+    deg = degrees(n, edges)
     if max(deg) > h:
         return False
     order = sorted(range(m), key=lambda e: (-(deg[edges[e][0]] + deg[edges[e][1]]), e))
@@ -202,16 +199,12 @@ def exact_edge_colorable(
     return rec(0, 0)
 
 
-def chromatic_index(n: int, edges: tuple[tuple[int, int], ...], cap: int = 40) -> int | None:
-    """Exact chromatic index (Delta or Delta+1); None beyond the backtracking cap."""
+def chromatic_index(n: int, edges: tuple[tuple[int, int], ...]) -> int | None:
+    """Exact chromatic index (Delta or Delta+1); None beyond COLORING_CAP edges."""
     if not edges:
         return 0
-    deg = [0] * n
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    delta = max(deg)
-    at_delta = exact_edge_colorable(n, edges, delta, cap=cap)
+    delta = max(degrees(n, edges))
+    at_delta = exact_edge_colorable(n, edges, delta)
     if at_delta is None:
         return None
     return delta if at_delta else delta + 1
@@ -231,14 +224,14 @@ class ColorabilityReport:
     detail: str = ""
 
 
-def unweighted_heat_feasible(instance: OpsInstance, h: int, cap: int = 40) -> ColorabilityReport:
+def unweighted_heat_feasible(instance: OpsInstance, h: int) -> ColorabilityReport:
     """A heat-h schedule exists iff the graph is h-edge-colorable (unit growths)."""
     if any(g != 1 for g in instance.growth):
         raise ValueError("requires all growth rates equal to 1")
     delta = instance.max_degree
     if h < delta:
         return ColorabilityReport(h, False, False, f"needs at least Delta={delta} colors")
-    verdict = exact_edge_colorable(instance.n, instance.edges, h, cap=cap)
+    verdict = exact_edge_colorable(instance.n, instance.edges, h)
     if verdict is not None:
         return ColorabilityReport(h, verdict, False, "exact backtracking")
     coloring = color_edges(instance.n, instance.edges)

@@ -39,6 +39,15 @@ def as_rational(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def degrees(n: int, edges) -> list[int]:
+    """Number of edges at each person 0..n-1."""
+    deg = [0] * n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    return deg
+
+
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
     if a == b:
         raise ValueError(f"self-loop on person {a}")
@@ -67,11 +76,7 @@ class _Instance:
         return len(self.edges)
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+        return degrees(self.n, self.edges)
 
     @property
     def max_degree(self) -> int:

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .core import DpsInstance, OpsInstance, PeriodicSchedule, ops_to_dps, verify_dps
 from .generators import pinwheel_star
-from .matchings import enumerate_maximal_matchings
+from .matchings import MATCHING_CAP, enumerate_maximal_matchings
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -116,7 +116,7 @@ STAR_SKIP_LOAD = Fraction(5, 6)
 def dps_feasible(
     instance: DpsInstance,
     limits: SearchLimits | None = None,
-    matching_cap: int = 24,
+    matching_cap: int = MATCHING_CAP,
     *,
     _matchings: list[frozenset[int]] | None = None,
 ) -> FeasibilityResult:
@@ -233,7 +233,7 @@ def heat_candidates(instance: OpsInstance) -> list[Fraction]:
 def ops_optimal_heat(
     instance: OpsInstance,
     limits: SearchLimits | None = None,
-    matching_cap: int = 24,
+    matching_cap: int = MATCHING_CAP,
 ) -> OptimalHeatResult:
     """Least candidate heat whose induced decision instance is feasible.
 

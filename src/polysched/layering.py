@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coloring import color_edges
-from .core import OpsInstance, PeriodicSchedule, heat
+from .core import OpsInstance, PeriodicSchedule, degrees, heat
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,6 @@ def decompose(instance: OpsInstance, level_count: int) -> LayerDecomposition:
         else:
             raise AssertionError("bands must cover every edge")
     return LayerDecomposition(level_count, tuple(tuple(band) for band in layers))
-
-
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ def build_layered_schedule(instance: OpsInstance, level_count: int) -> LayeredRe
         band_days.append(tuple(frozenset(cls) for cls in classes))
 
     k = len(bands)
-    period = k * _lcm(len(days) for days in band_days)
+    period = k * math.lcm(*(len(days) for days in band_days))
     days = []
     for t in range(period):
         layer = t % k
@@ -93,12 +86,8 @@ def build_layered_schedule(instance: OpsInstance, level_count: int) -> LayeredRe
     for i, band in enumerate(decomp.layers):
         if not band:
             continue
-        deg = [0] * instance.n
-        for e in band:
-            a, b = instance.edges[e]
-            deg[a] += 1
-            deg[b] += 1
-        bound = max(bound, (decomp.level_count + 1) * (max(deg) + 1) * g_max / 2**i)
+        delta = max(degrees(instance.n, (instance.edges[e] for e in band)))
+        bound = max(bound, (decomp.level_count + 1) * (delta + 1) * g_max / 2**i)
     achieved = heat(instance, schedule)
     return LayeredResult(schedule, level_count, decomp, achieved, bound)
 
@@ -110,13 +99,8 @@ def layered_schedule(instance: OpsInstance) -> LayeredResult:
     """
     delta = instance.max_degree
     top = max(0, math.ceil(math.log2(delta + 1)))
-    best: LayeredResult | None = None
-    for level in range(top + 1):
-        cand = build_layered_schedule(instance, level)
-        if best is None or cand.achieved_heat < best.achieved_heat:
-            best = cand
-    assert best is not None
-    return best
+    return min((build_layered_schedule(instance, level) for level in range(top + 1)),
+               key=lambda result: result.achieved_heat)
 
 
 def ratio_guarantee(instance: OpsInstance) -> float:

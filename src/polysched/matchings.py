@@ -1,4 +1,5 @@
-"""Inclusion-maximal matching enumeration, shared by the exact solver and the bounds.
+"""Inclusion-maximal matching enumeration, shared by the exact solver and the
+bounds, and the maximum matching size.
 
 The enumerator walks edges in canonical index order with an extend-or-skip
 branch per edge, so every matching is produced exactly once; a final
@@ -10,20 +11,26 @@ from __future__ import annotations
 
 import networkx as nx
 
+# most edges enumerate_maximal_matchings accepts by default: the count of
+# maximal matchings, and with it the exact solver's moves and the poly-density
+# LP's columns, grows exponentially in the edge count
+MATCHING_CAP = 24
+
 
 class MatchingCapExceeded(ValueError):
-    """Raised when enumeration is requested beyond the configured edge cap."""
+    """Raised when enumeration is requested beyond the edge cap."""
 
 
 def enumerate_maximal_matchings(
     n: int,
     edges: tuple[tuple[int, int], ...],
-    cap: int = 24,
+    cap: int = MATCHING_CAP,
 ) -> list[frozenset[int]]:
     """All inclusion-maximal matchings of the graph, each exactly once.
 
     Returned as frozensets of edge indices, in the deterministic order the
-    extend-or-skip backtracking discovers them.
+    extend-or-skip backtracking discovers them. Raises MatchingCapExceeded
+    on more than `cap` edges.
     """
     m = len(edges)
     if m > cap:
@@ -69,16 +76,9 @@ def enumerate_maximal_matchings(
     return out
 
 
-def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...], cap: int = 24) -> int:
-    """Size of a maximum matching, exact for general graphs.
-
-    Uses the enumerator inside the cap, networkx's blossom-based
-    max-cardinality matching beyond it.
-    """
-    if not edges:
-        return 0
-    if len(edges) <= cap:
-        return max(len(mm) for mm in enumerate_maximal_matchings(n, edges, cap=cap))
+def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
+    """Size of a maximum matching, exact for general graphs at any edge count,
+    by networkx's blossom-based max-cardinality matching."""
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)

@@ -46,13 +46,15 @@ HEADER = ["instance", "algorithm", "heat", "bound", "method", "ratio", "verdict"
 
 
 def run_one(name: str, instance: OpsInstance, algorithm: str,
-            bound_method: str = "best", matching_cap: int = 24) -> RunReport:
+            bound_method: str = "best") -> RunReport:
+    """Run one schedule algorithm (exact, coloring or layering) and one bound
+    method on the instance; the verdict of layering names its chosen L."""
     t0 = time.perf_counter()
     achieved: Fraction | None = None
     schedule = None
     verdict = "ok"
     if algorithm == "exact":
-        result: OptimalHeatResult = ops_optimal_heat(instance, matching_cap=matching_cap)
+        result: OptimalHeatResult = ops_optimal_heat(instance)
         if result.status == FEASIBLE:
             achieved = result.heat
             schedule = result.schedule
@@ -78,11 +80,9 @@ def run_one(name: str, instance: OpsInstance, algorithm: str,
 
 
 def run_suite(instances: list[tuple[str, OpsInstance]], algorithms: list[str],
-              bound_methods: list[str] | str = "best") -> list[RunReport]:
+              bound_methods: list[str]) -> list[RunReport]:
     """Deterministic table: one row per instance x algorithm x bound method,
     in input order regardless of execution order."""
-    if isinstance(bound_methods, str):
-        bound_methods = [bound_methods]
     return [
         run_one(name, inst, algo, bound)
         for name, inst in instances

@@ -22,7 +22,7 @@ from polysched.bounds import (
 from polysched.core import OpsInstance, dps_to_ops
 from polysched.exact import FEASIBLE, ops_optimal_heat
 from polysched.generators import figure1, tadpole
-from polysched.matchings import MatchingCapExceeded
+from polysched.matchings import MATCHING_CAP, MatchingCapExceeded
 from polysched.report import random_ops_instance
 
 
@@ -159,9 +159,10 @@ class TestPolyDensity:
             assert best >= dual_value(inst, growth_proportional_weights(inst))
 
     def test_cap_is_typed(self):
-        inst = random_ops_instance(random.Random(0), max_persons=7, max_edges=10)
+        m = MATCHING_CAP + 1
+        inst = OpsInstance(m + 1, tuple((i, i + 1) for i in range(m)), (1,) * m)
         with pytest.raises(MatchingCapExceeded):
-            poly_density(inst, cap=2)
+            poly_density(inst)
 
 
 class TestAgainstExactOptimum:

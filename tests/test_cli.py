@@ -15,6 +15,7 @@ from polysched.cli import (
 )
 from polysched.fileio import format_rational
 from polysched.generators import figure1
+from polysched.matchings import MATCHING_CAP
 from polysched.report import run_one
 
 
@@ -93,6 +94,26 @@ def test_bound_methods_match_suite_rows(tmp_path, capsys):
         row = run_one("figure1", figure1(), "coloring", method)
         assert capsys.readouterr().out.split() == [row.bound_method,
                                                    format_rational(row.bound)]
+
+
+def test_enumeration_cap(tmp_path, capsys):
+    # a path of MATCHING_CAP + 1 = 25 unit edges: only --matching-cap widens
+    # the exact solver, and the best bound leaves the poly density out
+    m = MATCHING_CAP + 1
+    ops = tmp_path / "path.ops"
+    ops.write_text(f"ops {m + 1} {m}\n" + "".join(f"{i} {i + 1} 1\n" for i in range(m)))
+    dps = tmp_path / "path.dps"
+    dps.write_text(f"dps {m + 1} {m}\n" + "".join(f"{i} {i + 1} 2\n" for i in range(m)))
+    for argv in (["solve", str(ops)], ["feasible", str(dps)],
+                 ["bound", "--method", "polydensity", str(ops)]):
+        assert main(argv) == EX_USAGE, argv
+        assert capsys.readouterr().err == "error: 25 edges exceeds the enumeration cap 24\n"
+    assert main(["solve", str(ops), "--matching-cap", "30"]) == EX_OK
+    assert capsys.readouterr().out == "optimal heat 2\ninfeasible below at 1\n"
+    assert main(["feasible", str(dps), "--matching-cap", "30"]) == EX_OK
+    assert capsys.readouterr().out.startswith("feasible")
+    assert main(["bound", "--method", "best", str(ops)]) == EX_OK
+    assert capsys.readouterr().out == "trivial 2\n"
 
 
 def test_schedule_algorithms(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from helpers import run_under_optimize
 
 from polysched.coloring import (
+    COLORING_CAP,
     chromatic_index,
     color_edges,
     coloring_from_schedule,
@@ -104,8 +105,11 @@ class TestExactColorability:
         assert chromatic_index(5, edges) == 3
 
     def test_cap_returns_none(self):
-        edges = tuple((0, i + 1) for i in range(10))
-        assert exact_edge_colorable(11, edges, 10, cap=5) is None
+        m = COLORING_CAP + 1
+        edges = tuple((0, i + 1) for i in range(m))
+        assert exact_edge_colorable(m + 1, edges, m) is None
+        assert chromatic_index(m + 1, edges) is None
+        assert exact_edge_colorable(m, edges[:-1], m - 1) is True
 
 
 class TestRoundRobin:
@@ -157,9 +161,10 @@ class TestUnweightedBridge:
             unweighted_heat_feasible(inst, 2)
 
     def test_heuristic_flag_beyond_cap(self):
-        edges = tuple((i, (i + 1) % 9) for i in range(9))
-        inst = OpsInstance(9, edges, (1,) * 9)
-        report = unweighted_heat_feasible(inst, 2, cap=3)
+        m = COLORING_CAP + 1  # odd, so the cycle needs 3 colors
+        edges = tuple((i, (i + 1) % m) for i in range(m))
+        inst = OpsInstance(m, edges, (1,) * m)
+        report = unweighted_heat_feasible(inst, 2)
         assert report.upper_bound_only and report.exists is None
 
     def test_schedule_to_coloring_extraction(self):

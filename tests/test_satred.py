@@ -28,6 +28,18 @@ from polysched.satred.build import (
     comparator_order,
     density_one_persons,
 )
+from polysched.satred.gadgetcheck import (
+    _and2_scenarios,
+    _d3_scenarios,
+    _d12_scenarios,
+    _Model,
+    _or2_scenarios,
+    _or_scenarios,
+    _scenario,
+    _swap_scenarios,
+    _variable_scenarios,
+)
+from polysched.satred.tiling import class_phases
 
 
 def formula_family():
@@ -276,3 +288,82 @@ class TestGadgetChecks:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gadget_local_check("Nonsense")
+
+
+def _cases(scenarios):
+    """Scenario name -> (model, predicates)."""
+    return {name: (model, preds) for name, model, preds in scenarios}
+
+
+def _edited(model, edits):
+    """Copy of a gadget model; edits maps an edge name to replacements for
+    its fields among name, a, b (endpoints) and domain."""
+    out = _Model()
+    for name, a, b, freq, domain in model.edges:
+        fields = {"name": name, "a": a, "b": b, "domain": domain, **edits.get(name, {})}
+        out.edges.append((fields["name"], fields["a"], fields["b"], freq, fields["domain"]))
+    return out
+
+
+def _judge(scenarios, model_case, predicate_case, edits=None):
+    """One scenario's model, edited, judged by another scenario's predicates."""
+    cases = _cases(scenarios)
+    model = _edited(cases[model_case][0], edits or {})
+    return _scenario(predicate_case, model, cases[predicate_case][1])
+
+
+class TestGadgetPredicatesRejectWrongModels:
+    """Every characterization fails on a model that breaks it, so a predicate
+    weakened into accepting that model fails here."""
+
+    def test_forced_rejects_a_free_copy_edge(self):
+        # cut loose from n0, copy0 takes every phase: red stays among its
+        # colours, but red is no longer forced
+        result = _judge(_d3_scenarios(), "red-input", "red-input",
+                        {"copy0": {"a": "loose1", "b": "loose2"}})
+        assert not result.ok and "copy0 colors" in result.detail
+        assert "R" in result.detail
+
+    def test_same_color_rejects_a_free_output(self):
+        result = _judge(_d12_scenarios(), "free-input", "free-input",
+                        {"out2": {"a": "loose"}})
+        assert not result.ok and "12-day edges split colors" in result.detail
+
+    def test_both_realized_rejects_a_pinned_input(self):
+        result = _judge(_d12_scenarios(), "free-input", "free-input",
+                        {"in": {"domain": class_phases(12, "B")}})
+        assert result.detail == "input should admit blue and green, got {'B'}"
+
+    def test_both_orders_rejects_a_pinned_value_edge(self):
+        result = _judge(_variable_scenarios(), "free", "free",
+                        {"valB": {"domain": class_phases(3, "B")}})
+        assert not result.ok and "must split red/blue both ways" in result.detail
+
+    @pytest.mark.parametrize("model_case, predicate_case, message", [
+        ("inputs-BBB", "inputs-RRR", "satisfied clause must admit a blue output"),
+        ("inputs-RRR", "inputs-BBB", "out reached {'B'}"),
+    ])
+    def test_out_range_rejects_other_inputs(self, model_case, predicate_case, message):
+        result = _judge(_or_scenarios(), model_case, predicate_case)
+        assert not result.ok and message in result.detail
+
+    @pytest.mark.parametrize("scenarios, model_case, predicate_case, message", [
+        (_or2_scenarios, "inputs-GG", "inputs-BG", "blue output should be possible here"),
+        (_or2_scenarios, "inputs-BB", "inputs-GG", "blue output must be impossible here"),
+        (_and2_scenarios, "inputs-BG", "inputs-BB", "blue output should be possible here"),
+        (_and2_scenarios, "inputs-BB", "inputs-BG", "blue output must be impossible here"),
+    ])
+    def test_out_ok_rejects_other_inputs(self, scenarios, model_case, predicate_case, message):
+        result = _judge(scenarios(), model_case, predicate_case)
+        assert result.detail == message
+
+    def test_swap_predicates_reject_crossed_outputs(self):
+        # the Or2 output named as the And2 output and the other way round
+        crossed = {"out_or": {"name": "out_and"}, "out_and": {"name": "out_or"}}
+        result = _judge(_swap_scenarios(), "inputs-BG", "inputs-BG", crossed)
+        assert result.detail == ("and-output blue without both inputs blue; "
+                                 "comparator outcome (B,G) unreachable")
+
+    def test_outs_ok_rejects_a_blue_or_output_from_green_inputs(self):
+        result = _judge(_swap_scenarios(), "inputs-BG", "inputs-GG")
+        assert not result.ok and "or-output blue without any blue input" in result.detail
