@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"exact {name} via the configuration graph")
         p.add_argument("instance")
         p.add_argument("--emit-schedule")
-        p.add_argument("--max-states", type=int, default=50_000_000)
+        p.add_argument("--max-states", type=int, default=SearchLimits.max_states)
         p.add_argument("--time-limit", type=float, default=None)
         p.add_argument("--matching-cap", type=int, default=MATCHING_CAP)
         p.set_defaults(func=fn)

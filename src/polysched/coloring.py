@@ -74,7 +74,8 @@ def color_edges(n: int, edges: tuple[tuple[int, int], ...]) -> EdgeColoring:
             del used[b][old]
         color[e] = c
         if c is not None:
-            assert c not in used[a] and c not in used[b]
+            if c in used[a] or c in used[b]:
+                raise RuntimeError(f"color {c} already used at an end of edge {e}")
             used[a][c] = e
             used[b][c] = e
 
@@ -126,7 +127,8 @@ def color_edges(n: int, edges: tuple[tuple[int, int], ...]) -> EdgeColoring:
             if is_free(fan_v[i], d) and is_free(u, d):
                 w_idx = i
                 break
-        assert w_idx is not None, "fan rotation target must exist"
+        if w_idx is None:
+            raise RuntimeError(f"no fan rotation target for edge {e0}")
         for j in range(w_idx):
             nxt = color[fan_e[j + 1]]
             set_color(fan_e[j + 1], None)

@@ -14,6 +14,9 @@ from .exact import FEASIBLE, OptimalHeatResult, ops_optimal_heat
 from .fileio import format_rational
 from .layering import layered_schedule
 
+# growth rates of a random instance are integers drawn from 1.._MAX_GROWTH
+_MAX_GROWTH = 6
+
 
 @dataclass
 class RunReport:
@@ -92,13 +95,13 @@ def run_suite(instances: list[tuple[str, OpsInstance]], algorithms: list[str],
 
 
 def random_ops_instance(rng: random.Random, max_persons: int = 7,
-                        max_edges: int = 10, max_growth: int = 6) -> OpsInstance:
+                        max_edges: int = 10) -> OpsInstance:
     """Small connected-ish instance with integer growth rates; exact-solver friendly."""
     n = rng.randint(2, max_persons)
     pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
     m = rng.randint(1, min(len(pool), max_edges))
     edges = tuple(sorted(rng.sample(pool, m)))
-    growth = tuple(Fraction(rng.randint(1, max_growth)) for _ in edges)
+    growth = tuple(Fraction(rng.randint(1, _MAX_GROWTH)) for _ in edges)
     return OpsInstance(n, edges, growth)
 
 

@@ -7,9 +7,12 @@ clause; a bubble sorting network of SWAP comparators that herds blue
 (satisfied-clause) outputs leftward; tension gadgets pinning the leftmost k
 channel outputs to blue slots. Every frequency is 3, 6, 9, or 12.
 
-Constants are drawn from typed FIFO pools in a fixed construction order, so
-the color-forcing chain from the clock stays acyclic. Surplus ports of any
-kind end at fresh pendant persons.
+Every port, whether a literal's value, a constant colour class or a phased
+B12/G12 constant, lives in one table of FIFO pools keyed by (kind, sub):
+sub is None for a constant, the phase for a phased kind, and (var, pol) for
+a literal. Consumers draw in a fixed construction order, so the
+color-forcing chain from the clock stays acyclic. Ports left over end at
+fresh pendant persons, pool by pool in the table's order.
 """
 
 from __future__ import annotations
@@ -36,8 +39,16 @@ def channel_green_phase(c: int) -> int:
     return GREEN_PHASE[(c - 1) % 2]
 
 
-# constant kinds: frequency and forced slot color
+def _iv_phase(kind: str, c: int) -> int:
+    """Phase of the B12 or G12 constant at pair c's Swap IV person: half a
+    period from the channel's own phase of that colour."""
+    phase = channel_blue_phase(c) if kind == "B12" else channel_green_phase(c)
+    return (phase + 6) % 12
+
+
+# port kinds: frequency and forced slot color (a literal's colour is its value)
 KIND_SPEC = {
+    "lit": (3, None),
     "R3": (3, "R"),
     "B3": (3, "B"),
     "G6": (6, "G"),
@@ -46,6 +57,10 @@ KIND_SPEC = {
     "B12": (12, "B"),
     "G12": (12, "G"),
 }
+# the phases that split a phased kind's pool
+_PHASES = {"B12": BLUE_PHASE, "G12": GREEN_PHASE}
+# duplicating a red constant pins the nine-edges blue, and vice versa
+_NINE_COLOR = {"R3": "B", "B3": "R"}
 
 
 @dataclass(frozen=True)
@@ -115,6 +130,8 @@ class CompileError(RuntimeError):
 class _Builder:
     def __init__(self, formula: CnfFormula):
         self.formula = formula
+        # at least one variable pair: the chain supplies the first green port
+        self.n_padded = max(2, formula.num_vars + (formula.num_vars % 2))
         self.labels: list[str] = []
         self.density1: list[bool] = []
         self.edge_pairs: list[tuple[int, int]] = []
@@ -122,12 +139,13 @@ class _Builder:
         self.freqs: list[int] = []
         self.recs: list[EdgeRec] = []
         self.gadgets: list[GadgetRec] = []
-        self.pools: dict[str, deque[Port]] = {k: deque() for k in ("R3", "B3", "G6", "P6", "B6")}
-        self.phase_pools: dict[str, dict[int, deque[Port]]] = {
-            "B12": {p: deque() for p in BLUE_PHASE},
-            "G12": {p: deque() for p in GREEN_PHASE},
+        # the port table, created in surplus-drain order: literals by variable,
+        # then polarity; the constants; the phased kinds by phase
+        subs = {"lit": [(i, pol) for i in range(1, self.n_padded + 1) for pol in (1, -1)],
+                **_PHASES}
+        self.pools: dict[tuple[str, object], deque[Port]] = {
+            (kind, sub): deque() for kind in KIND_SPEC for sub in subs.get(kind, (None,))
         }
-        self.lit_ports: dict[tuple[int, int], deque[Port]] = {}
         self.channel_of_edge: dict[int, int] = {}
 
     # -- structure primitives --------------------------------------------
@@ -168,43 +186,31 @@ class _Builder:
 
     # -- pools --------------------------------------------------------------
 
-    def produce(self, kind: str, g: GadgetRec, name: str, person: int) -> None:
-        self.pools[kind].append(Port(person, g.gid, name))
+    def produce(self, kind: str, g: GadgetRec, name: str, person: int,
+                sub: int | tuple[int, int] | None = None) -> None:
+        self.pools[(kind, sub)].append(Port(person, g.gid, name))
+        if kind in _PHASES:
+            g.meta.setdefault("port_phase", {})[name] = sub
 
-    def produce_phase(self, kind: str, phase: int, g: GadgetRec, name: str, person: int) -> None:
-        self.phase_pools[kind][phase].append(Port(person, g.gid, name))
-        g.meta.setdefault("port_phase", {})[name] = phase
-
-    def _pop_compatible(self, pool: deque[Port], person: int, what: str) -> Port:
-        """First pooled port whose producer is not already adjacent to `person`."""
+    def consume(self, kind: str, g: GadgetRec, name: str, person: int,
+                sub: int | tuple[int, int] | None = None) -> int:
+        """Edge from the first port in pool (kind, sub) whose producer is not
+        already adjacent to `person`."""
+        pool = self.pools[(kind, sub)]
+        what = kind if sub is None else f"{kind}@{sub}"
+        where = f"{g.name}:{name}"
+        if not pool:
+            raise CompileError(f"pool {what} ran dry at {where}")
         for i, port in enumerate(pool):
             if port.person != person and (min(port.person, person), max(port.person, person)) not in self.pair_set:
                 del pool[i]
-                return port
-        raise CompileError(f"no compatible port in pool for {what}")
-
-    def consume(self, kind: str, g: GadgetRec, name: str, person: int,
-                phase: int | None = None) -> int:
-        """Edge from the next compatible pooled port; phased kinds need `phase`."""
-        if phase is None:
-            pool, what = self.pools[kind], kind
+                break
         else:
-            pool, what = self.phase_pools[kind][phase], f"{kind}@{phase}"
-        if not pool:
-            raise CompileError(f"constant pool {what} ran dry at {g.name}:{name}")
-        port = self._pop_compatible(pool, person, f"{what} at {g.name}:{name}")
+            raise CompileError(f"no compatible port in pool {what} at {where}")
         freq, color = KIND_SPEC[kind]
         src = self.gadgets[port.gid]
         return self.edge(src, port.name, port.person, g, name, person,
-                         freq, color, f"const-{kind}")
-
-    def consume_literal(self, var: int, pol: int, g: GadgetRec, name: str, person: int) -> int:
-        ports = self.lit_ports[(var, pol)]
-        if not ports:
-            raise CompileError(f"literal pool ({var},{pol:+d}) ran dry at {g.name}")
-        port = self._pop_compatible(ports, person, f"literal ({var},{pol:+d}) at {g.name}")
-        src = self.gadgets[port.gid]
-        return self.edge(src, port.name, port.person, g, name, person, 3, None, "value")
+                         freq, color, "value" if kind == "lit" else f"const-{kind}")
 
     def consume_channel(self, port: Port, channel: int, g: GadgetRec, name: str,
                         person: int) -> int:
@@ -222,14 +228,12 @@ def _plan(formula: CnfFormula) -> dict:
     t = -(-k // 4) if k > 0 else 0  # tension gadgets, 4 channels each
     fills = sum(3 - len(c) for c in formula.clauses)
     n_b6 = 6 * w  # one splitter per consumed 6B port (second port -> pendant)
-    b12_demand: dict[int, int] = {p: 0 for p in BLUE_PHASE}
-    g12_demand: dict[int, int] = {p: 0 for p in GREEN_PHASE}
+    demand = {kind: dict.fromkeys(phases, 0) for kind, phases in _PHASES.items()}
     for c in range(1, m):
-        for _ in range(c):  # pair c hosts c comparators
-            b12_demand[(channel_blue_phase(c) + 6) % 12] += 1
-            g12_demand[(channel_green_phase(c) + 6) % 12] += 1
-    n_b12 = max(b12_demand.values(), default=0)
-    n_g12 = max(g12_demand.values(), default=0)
+        for kind in _PHASES:
+            demand[kind][_iv_phase(kind, c)] += c  # pair c hosts c comparators
+    n_b12 = max(demand["B12"].values())
+    n_g12 = max(demand["G12"].values())
 
     pos = {i: 0 for i in range(1, formula.num_vars + 1)}
     neg = {i: 0 for i in range(1, formula.num_vars + 1)}
@@ -268,7 +272,7 @@ def _plan(formula: CnfFormula) -> dict:
     }
 
 
-def _build_variables(b: _Builder, n_padded: int) -> GadgetRec:
+def _build_variables(b: _Builder) -> GadgetRec:
     layer = "variable"
     clock = b.gadget("TrueClock", layer)
     t_person = b.person("T", True)
@@ -277,35 +281,23 @@ def _build_variables(b: _Builder, n_padded: int) -> GadgetRec:
     b.produce("B3", clock, "b3", t_person)
     b.produce("P6", clock, "p6", t_person)
     prev_g, prev_name, prev_person = clock, "g6", t_person
-    for i in range(1, n_padded + 1):
+    for i in range(1, b.n_padded + 1):
         g = b.gadget("Variable", layer, var=i)
         x = b.person(f"x{i}", True)
         g.persons["x"] = x
         color = "G" if i % 2 == 1 else "P"
         b.edge(prev_g, prev_name, prev_person, g, "chain_in", x, 6, color, "var-chain")
-        b.lit_ports[(i, 1)] = deque([Port(x, g.gid, "valR")])
-        b.lit_ports[(i, -1)] = deque([Port(x, g.gid, "valB")])
+        b.produce("lit", g, "valR", x, (i, 1))
+        b.produce("lit", g, "valB", x, (i, -1))
         prev_g, prev_name, prev_person = g, "chain_out", x
     # the final (even-indexed) variable's forward output is green
     b.produce("G6", prev_g, prev_name, prev_person)
     return clock
 
 
-def _nine_color(signal: tuple) -> str | None:
-    # duplicating a red constant pins the nine-edges blue, and vice versa
-    if signal == ("const", "R3"):
-        return "B"
-    if signal == ("const", "B3"):
-        return "R"
-    return None
-
-
-def _copy_color(signal: tuple) -> str | None:
-    if signal == ("const", "R3"):
-        return "R"
-    if signal == ("const", "B3"):
-        return "B"
-    return None
+def _pool_key(signal: tuple) -> tuple[str, object]:
+    """The pool a duplicator chain's signal is drawn from and copied into."""
+    return ("lit", signal[1:]) if signal[0] == "lit" else (signal[1], None)
 
 
 def _start_d3_chain(b: _Builder, signal: tuple, layer: str) -> GadgetRec:
@@ -313,16 +305,12 @@ def _start_d3_chain(b: _Builder, signal: tuple, layer: str) -> GadgetRec:
     g = b.gadget("D3", layer, signal=signal, rows=0)
     a = b.person(f"D3[{signal_label(signal)}].a", True)
     g.persons["a"] = a
-    if signal[0] == "lit":
-        _, var, pol = signal
-        b.consume_literal(var, pol, g, "in", a)
-    else:
-        b.consume(signal[1], g, "in", a)
+    kind, sub = _pool_key(signal)
+    b.consume(kind, g, "in", a, sub)
     b.consume("G6", g, "g6_in", a)
     b.produce("P6", g, "p6_out", a)
     g.meta["open_stubs"] = [(a, f"nine.a{j}") for j in range(3)]
-    g.meta["nine_color"] = _nine_color(signal)
-    g.meta["copy_color"] = _copy_color(signal)
+    g.meta["nine_color"] = _NINE_COLOR.get(kind)
     g.meta["copies"] = 0
     return g
 
@@ -336,8 +324,8 @@ def signal_label(signal: tuple) -> str:
 def _extend_d3_chain(b: _Builder, g: GadgetRec, extra_rows: int) -> None:
     """Add rows of three copy nodes each, hanging off open nine-stubs."""
     signal = g.meta["signal"]
+    kind, sub = _pool_key(signal)
     nine_color = g.meta["nine_color"]
-    copy_color = g.meta["copy_color"]
     stubs = deque(g.meta["open_stubs"])
     tag = signal_label(signal)
     for _ in range(extra_rows):
@@ -356,11 +344,7 @@ def _extend_d3_chain(b: _Builder, g: GadgetRec, extra_rows: int) -> None:
         b.produce("G6", g, f"g6_out.r{r}", nodes[2])
         for j, node in enumerate(nodes):
             g.meta["copies"] += 1
-            port = Port(node, g.gid, f"copy{g.meta['copies']}")
-            if signal[0] == "lit":
-                b.lit_ports[(signal[1], signal[2])].append(port)
-            else:
-                b.pools[signal[1]].append(port)
+            b.produce(kind, g, f"copy{g.meta['copies']}", node, sub)
             stubs.append((node, f"nine.r{r}n{j}.0"))
             stubs.append((node, f"nine.r{r}n{j}.1"))
     g.meta["open_stubs"] = list(stubs)
@@ -419,9 +403,9 @@ def _build_splitter(b: _Builder, kind: str) -> GadgetRec:
         g.persons["pend"] = pend
         b.internal(g, "out2", node, pend, 6, "B", "splitter-spare")
         return g
-    out_kind, phases = ("B12", BLUE_PHASE) if kind == "SB12" else ("G12", GREEN_PHASE)
-    for i, phase in enumerate(phases):
-        b.produce_phase(out_kind, phase, g, f"out{i}", node)
+    out_kind = kind[1:]  # SB12 -> B12, SG12 -> G12
+    for i, phase in enumerate(_PHASES[out_kind]):
+        b.produce(out_kind, g, f"out{i}", node, phase)
     return g
 
 
@@ -430,14 +414,12 @@ def _build_or(b: _Builder, clause: tuple[int, ...], clause_idx: int) -> GadgetRe
     g = b.gadget("OR", "clause", clause=clause_idx)
     orp = b.person(f"{g.name}.or", True)
     g.persons["or"] = orp
-    lit_of_input: dict[int, int] = {}
     for i in range(3):
         inv = b.person(f"{g.name}.i{i}", False)
         g.persons[f"i{i}"] = inv
         if i < len(clause):
             lit = clause[i]
-            b.consume_literal(abs(lit), 1 if lit > 0 else -1, g, f"lit{i}", inv)
-            lit_of_input[i] = lit
+            b.consume("lit", g, f"lit{i}", inv, (abs(lit), 1 if lit > 0 else -1))
         else:
             b.consume("B3", g, f"fill{i}", inv)  # short clause: constant False input
         b.internal(g, f"t12.{i}", inv, orp, 12, None, "or-link")
@@ -446,7 +428,6 @@ def _build_or(b: _Builder, clause: tuple[int, ...], clause_idx: int) -> GadgetRe
         filler = b.person(f"{g.name}.f{i}", False)
         g.persons[f"f{i}"] = filler
         b.internal(g, f"six.{i}", orp, filler, 6, None, "or-fill")
-    g.meta["lit_of_input"] = lit_of_input
     g.meta["out_port"] = Port(orp, g.gid, "out")
     return g
 
@@ -494,8 +475,8 @@ def _build_swap(b: _Builder, pair_c: int, tier: int, in1: Port, in2: Port) -> Ga
     b.consume("R3", g, "r3.iv", iv_node)
     b.consume("P6", g, "p6.iv", iv_node)
     b.consume("B6", g, "b6.iv", iv_node)
-    b.consume("B12", g, "b12.iv", iv_node, (channel_blue_phase(pair_c) + 6) % 12)
-    b.consume("G12", g, "g12.iv", iv_node, (channel_green_phase(pair_c) + 6) % 12)
+    for kind in _PHASES:
+        b.consume(kind, g, f"{kind.lower()}.iv", iv_node, _iv_phase(kind, pair_c))
     # AND half
     sp_a1 = person("spA1", False)
     sp_a2 = person("spA2", False)
@@ -561,9 +542,7 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
     """Build the polycule that is schedulable iff >= k clauses are satisfiable."""
     plan = _plan(formula)
     b = _Builder(formula)
-    # at least one variable pair: the chain supplies the first green port
-    n_padded = max(2, formula.num_vars + (formula.num_vars % 2))
-    clock = _build_variables(b, n_padded)
+    clock = _build_variables(b)
 
     # constant supply, in an order that keeps every pool ahead of demand
     r3_chain = _start_d3_chain(b, ("const", "R3"), "duplication")
@@ -611,23 +590,13 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
         port, channel = channels[j]
         _attach_pendant(b, port, 12, None, "channel-out", "tension", channel=channel)
 
-    # surplus ports of every kind end at pendants
-    for i in range(1, n_padded + 1):
-        for pol in (1, -1):
-            for port in b.lit_ports.get((i, pol), ()):  # pool may be partially drained
-                _attach_pendant(b, port, 3, None, "value-spare", "duplication")
-            b.lit_ports[(i, pol)] = deque()
-    for kind in ("R3", "B3", "G6", "P6", "B6"):
+    # surplus ports of every pool end at pendants, in the table's order
+    for (kind, _), pool in b.pools.items():
         freq, color = KIND_SPEC[kind]
-        while b.pools[kind]:
-            _attach_pendant(b, b.pools[kind].popleft(), freq, color,
-                            f"surplus-{kind}", "duplication")
-    for kind, pools in b.phase_pools.items():
-        freq, color = KIND_SPEC[kind]
-        for phase in sorted(pools):
-            while pools[phase]:
-                _attach_pendant(b, pools[phase].popleft(), freq, color,
-                                f"surplus-{kind}", "sorting")
+        role = "value-spare" if kind == "lit" else f"surplus-{kind}"
+        layer = "sorting" if kind in _PHASES else "duplication"
+        while pool:
+            _attach_pendant(b, pool.popleft(), freq, color, role, layer)
     for g in b.gadgets:
         if g.kind in ("D3", "D6") and g.meta.get("open_stubs"):
             freq = 9 if g.kind == "D3" else 12

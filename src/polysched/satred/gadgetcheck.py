@@ -29,6 +29,8 @@ GADGET_KINDS = (
 )
 
 FULL = {3: list(range(3)), 6: list(range(6)), 9: list(range(9)), 12: list(range(12))}
+# most local schedules one gadget model may enumerate before the check gives up
+_ENUMERATION_BUDGET = 2_000_000
 
 
 @dataclass
@@ -63,7 +65,7 @@ class _Model:
             b = f"_ext{self._ext}"
         self.edges.append((name, a, b, freq, list(domain)))
 
-    def enumerate(self, budget: int = 2_000_000):
+    def enumerate(self):
         variables = [(name, freq, domain) for name, _, _, freq, domain in self.edges]
         endpoints = {name: (a, b) for name, a, b, _, _ in self.edges}
         freqs = {name: freq for name, _, _, freq, _ in self.edges}
@@ -72,7 +74,7 @@ class _Model:
             colored = {name: (phase, phase_color(freqs[name], phase))
                        for name, phase in sol.items()}
             out.append(colored)
-            if len(out) > budget:
+            if len(out) > _ENUMERATION_BUDGET:
                 raise RuntimeError("gadget enumeration exceeded its budget")
         return out
 

@@ -19,10 +19,6 @@ PERIOD = 36
 
 # slot classes: colour -> (residue, modulus)
 SLOT = {"R": (0, 3), "B": (1, 3), "G": (2, 6), "P": (5, 6)}
-CLASS_DAYS = {
-    color: frozenset(range(residue, PERIOD, mod)) for color, (residue, mod) in SLOT.items()
-}
-RED, BLUE, GREEN, PURPLE = (CLASS_DAYS[c] for c in "RBGP")
 
 
 def occ_mask(freq: int, phase: int) -> int:
@@ -34,16 +30,18 @@ def occ_mask(freq: int, phase: int) -> int:
 
 def class_phases(freq: int, color: str) -> list[int]:
     """Phases whose occurrence set lies inside the color class."""
-    days = CLASS_DAYS[color]
-    return [p for p in range(freq)
-            if all(d in days for d in range(p, PERIOD, freq))]
+    return [p for p in range(freq) if phase_color(freq, p) == color]
 
 
 def phase_color(freq: int, phase: int) -> str | None:
-    """The slot class the phase keeps to, if any."""
-    occ = set(range(phase, PERIOD, freq))
-    for color, days in CLASS_DAYS.items():
-        if occ <= days:
+    """The slot class the phase keeps to, if any; freq divides PERIOD.
+
+    The occurrences phase + j*freq all have the residue of phase mod a
+    modulus exactly when the modulus divides freq (every modulus divides
+    PERIOD, so a lone occurrence at freq = PERIOD is covered too).
+    """
+    for color, (residue, mod) in SLOT.items():
+        if freq % mod == 0 and phase % mod == residue:
             return color
     return None
 

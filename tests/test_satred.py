@@ -39,7 +39,105 @@ from polysched.satred.gadgetcheck import (
     _swap_scenarios,
     _variable_scenarios,
 )
-from polysched.satred.tiling import class_phases
+from polysched.satred.tiling import PERIOD, SLOT, class_phases, phase_color
+
+
+def _reduction_digests(formula):
+    """sha256 of the compiled provenance and, per assignment, of the synthesized
+    schedule with the assignment read back, or the refusal message."""
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    art = compile_formula(formula)
+    got = {}
+    for assignment in itertools.product((False, True), repeat=formula.num_vars):
+        key = "".join("01"[v] for v in assignment)
+        try:
+            schedule = synthesize_schedule(art, assignment)
+        except SynthesisRefused as exc:
+            got[key] = str(exc)
+        else:
+            got[key] = (digest(emit_schedule(art.dps, schedule)),
+                        extract_assignment(art, schedule))
+    return digest("\n".join(art.provenance_lines())), got
+
+
+# reduction shapes the demo formula lacks, as (num_vars, clauses, k,
+# provenance digest, per-assignment digests): two Tension gadgets; k = 0;
+# one clause, so no B12 splitter; x1 copied by a 2-row literal chain
+PINNED_SHAPES = [
+    (4, ((1, 2, 3), (-1, 4), (2, -3, -4), (1, -2), (3, 4, -1)), 5,
+     "2086ec3adf30ee7e43a95aedfec158aba1facedf5a3d69c9199a8cf197d1eb25", {
+         "0000": "assignment satisfies 4 < k=5 clauses",
+         "0001": "assignment satisfies 4 < k=5 clauses",
+         "0010": ("193569bce97760c210d03c10f3566302d69a923f4a5826d999e78d04f522a01d",
+                (False, False, True, False)),
+         "0011": "assignment satisfies 4 < k=5 clauses",
+         "0100": "assignment satisfies 4 < k=5 clauses",
+         "0101": "assignment satisfies 4 < k=5 clauses",
+         "0110": "assignment satisfies 4 < k=5 clauses",
+         "0111": "assignment satisfies 4 < k=5 clauses",
+         "1000": "assignment satisfies 3 < k=5 clauses",
+         "1001": ("fdeeac29cf5c850a3c795f0bab4d3f5ef17e38e222777f732ceae51a074a88b0",
+                (True, False, False, True)),
+         "1010": "assignment satisfies 4 < k=5 clauses",
+         "1011": "assignment satisfies 4 < k=5 clauses",
+         "1100": "assignment satisfies 3 < k=5 clauses",
+         "1101": ("bd9a07832b7e06a4a654af3b9ead3ceb29a51a4608a1275177b58431747e8a4c",
+                (True, True, False, True)),
+         "1110": "assignment satisfies 4 < k=5 clauses",
+         "1111": ("dd840b78225bc1ca425bd1d7becf365c5479aa82b97d3b4858533986c58755ac",
+                (True, True, True, True)),
+     }),
+    (2, ((1, 2), (-1,), (-2,)), 0,
+     "eecb96409b0c65696eaf89623ca19151764620eb00fbddb10544594f253f2b10", {
+         "00": ("d2a7b3ca2f4ab78931f9cc9a038d96a51d5ce7fab8136145d7b5477bfa336b10",
+                (False, False)),
+         "01": ("de7fcdcae9a36e30799a030343fb2efa843d5debf42cba663f802fabb7bb29ae",
+                (False, True)),
+         "10": ("8f95d71f70de171aa84c331cb6a1462aea0cc961c9fb006adb55e9fe64fe3cfc",
+                (True, False)),
+         "11": ("c92f00f6915f4db3625332d74ca620a616067ab47581df2ad0b9b4abc025eb36",
+                (True, True)),
+     }),
+    (2, ((1, -2),), 1,
+     "ce1ef0df6e526e1d383893480b03494df8f41d98b8d7db4ecd7bd3050c7b956e", {
+         "00": ("fde15a79fcd6a9a27b721d84c5e912ba8c90433b16e7276aa2eedf284852ba21",
+                (False, False)),
+         "01": "assignment satisfies 0 < k=1 clauses",
+         "10": ("522c1783a818dc8d594b42cdba5089b3864d1d12ebee719a4dac12cd7d1e30f4",
+                (True, False)),
+         "11": ("e0068ec78857af7806b39c6a65959b29537d1f375f47f442d4e53e9813f3205e",
+                (True, True)),
+     }),
+    (4, ((1, 2), (1, 3), (1, -4), (1, -2, 4)), 4,
+     "3eb3054bbf867325f3a27668d25c54ccc6d7efad09b725ed0e3eb8e1afcaf4e3", {
+         "0000": "assignment satisfies 2 < k=4 clauses",
+         "0001": "assignment satisfies 1 < k=4 clauses",
+         "0010": "assignment satisfies 3 < k=4 clauses",
+         "0011": "assignment satisfies 2 < k=4 clauses",
+         "0100": "assignment satisfies 2 < k=4 clauses",
+         "0101": "assignment satisfies 2 < k=4 clauses",
+         "0110": "assignment satisfies 3 < k=4 clauses",
+         "0111": "assignment satisfies 3 < k=4 clauses",
+         "1000": ("cef3e41be0e517215b63b8b950b5e82b12f6f23c274c6fcea35b9d48c2ff645e",
+                (True, False, False, False)),
+         "1001": ("484bfcd87a8b459b2e0dba8657b22b6790b26a42506dea9fc976ff6762a38db2",
+                (True, False, False, True)),
+         "1010": ("c444f6d3cdf2d3b3c569c83625337aa668266a014d7dca28ea6d20166c4987de",
+                (True, False, True, False)),
+         "1011": ("4e60e9f1278e6841172d9a3a2af82b22d5fa78e0d4e66990b78e982b698c967d",
+                (True, False, True, True)),
+         "1100": ("ba898bf6673648afa8124fb8b114e4801ca4eadc549d1ad122a4cb8ed1f26693",
+                (True, True, False, False)),
+         "1101": ("38aa5db592041fa3caabc382490560c2b2ee6164b614a5a679ab187c67d95037",
+                (True, True, False, True)),
+         "1110": ("49cac26f75be2aa0ddc032b9d1bd449a54c7769db89cbaa2cbdc9ec3f011a6bf",
+                (True, True, True, False)),
+         "1111": ("a55fb1eacf85abd8fa371935ded2da805c1a683ca066c443de861aa037f49dc1",
+                (True, True, True, True)),
+     }),
+]
 
 
 def formula_family():
@@ -130,6 +228,16 @@ class TestCompile:
             _validate(b, DpsInstance(len(persons), edges, freqs))
         assert str(info.value) == message
 
+    def test_consume_errors_name_the_pool_and_port(self):
+        b = _Builder(CnfFormula(0, (), 0))
+        g = b.gadget("OR", "clause")
+        p = b.person("p", False)
+        with pytest.raises(CompileError, match=r"^pool lit@\(1, 1\) ran dry at OR0:lit0$"):
+            b.consume("lit", g, "lit0", p, (1, 1))
+        b.produce("R3", g, "out", p)  # a port on the consumer itself is never compatible
+        with pytest.raises(CompileError, match="^no compatible port in pool R3 at OR0:in$"):
+            b.consume("R3", g, "in", p)
+
     def test_comparator_network_sorts(self):
         # 0-1 principle: the comparator order must sort every binary input
         for m in range(1, 9):
@@ -182,34 +290,28 @@ class TestSynthesis:
             assert extract_assignment(art, rotated) == assignment
 
     def test_synthesis_output_is_pinned(self):
-        # sha256 digests of the demo formula's provenance and of every
-        # synthesized schedule reaching k, with the assignment read back
-        def digest(text):
-            return hashlib.sha256(text.encode()).hexdigest()
+        assert _reduction_digests(demo_formula()) == (
+            "d417acd863fe5f6a53c80303fb70b5427f17d25617b33a45a90425bfca182f22", {
+                "000": ("6cc6822f414d34eb421a23e6991ef91bd10e27b2056e5824725e90b892da7611",
+                       (False, False, False)),
+                "001": "assignment satisfies 2 < k=3 clauses",
+                "010": ("374117be5a111a9009bda7f00fd841701c0c837e4eb64c11cde22d9c1518e854",
+                       (False, True, False)),
+                "011": ("2b2ea5a0a2aa3a97e8aea77625f664418e883aa78b211fa0171c4e184633ae67",
+                       (False, True, True)),
+                "100": ("8dd1b8cd8391fc84b798401d562897a9dad85af80e5bb155a76b268d88ef27a5",
+                       (True, False, False)),
+                "101": "assignment satisfies 2 < k=3 clauses",
+                "110": ("2127c2222601a47e0aa585894724d6b9f5077459ccc72c01e4754d76cc18e2f4",
+                       (True, True, False)),
+                "111": "assignment satisfies 2 < k=3 clauses",
+            })
 
-        formula = demo_formula()
-        art = compile_formula(formula)
-        assert digest("\n".join(art.provenance_lines())) == (
-            "d417acd863fe5f6a53c80303fb70b5427f17d25617b33a45a90425bfca182f22")
-        got = {}
-        for assignment in itertools.product((False, True), repeat=3):
-            if formula.count_satisfied(assignment) >= formula.k:
-                schedule = synthesize_schedule(art, assignment)
-                got["".join("01"[v] for v in assignment)] = (
-                    digest(emit_schedule(art.dps, schedule)),
-                    extract_assignment(art, schedule))
-        assert got == {
-            "000": ("6cc6822f414d34eb421a23e6991ef91bd10e27b2056e5824725e90b892da7611",
-                    (False, False, False)),
-            "010": ("374117be5a111a9009bda7f00fd841701c0c837e4eb64c11cde22d9c1518e854",
-                    (False, True, False)),
-            "011": ("2b2ea5a0a2aa3a97e8aea77625f664418e883aa78b211fa0171c4e184633ae67",
-                    (False, True, True)),
-            "100": ("8dd1b8cd8391fc84b798401d562897a9dad85af80e5bb155a76b268d88ef27a5",
-                    (True, False, False)),
-            "110": ("2127c2222601a47e0aa585894724d6b9f5077459ccc72c01e4754d76cc18e2f4",
-                    (True, True, False)),
-        }
+    @pytest.mark.parametrize("num_vars, clauses, k, provenance, schedules", PINNED_SHAPES,
+                             ids=["two-tensions", "k-zero", "one-clause", "two-row-chain"])
+    def test_reduction_shapes_are_pinned(self, num_vars, clauses, k, provenance, schedules):
+        formula = CnfFormula(num_vars, clauses, k)
+        assert _reduction_digests(formula) == (provenance, schedules)
 
     def test_extraction_requires_valid_schedule(self):
         art = compile_formula(demo_formula())
@@ -247,6 +349,24 @@ class TestGapInstance:
             schedule = synthesize_schedule(art, assignment)
             assert verify_dps(art.dps, schedule) is None
             assert extract_assignment(art, schedule) == assignment
+
+
+class TestTiling:
+    @pytest.mark.parametrize("freq", [1, 2, 3, 4, 6, 9, 12, 18, 36])
+    def test_slot_rule_matches_day_sets(self, freq):
+        # oracle: a phase keeps to a colour iff its every day lies in that
+        # colour's day set
+        days = {c: {d for d in range(PERIOD) if d % mod == r} for c, (r, mod) in SLOT.items()}
+
+        def keeps_to(phase, color):
+            return set(range(phase, PERIOD, freq)) <= days[color]
+
+        for phase in range(freq):
+            assert phase_color(freq, phase) == next(
+                (c for c in SLOT if keeps_to(phase, c)), None)
+        for color in SLOT:
+            assert class_phases(freq, color) == [
+                p for p in range(freq) if keeps_to(p, color)]
 
 
 class TestGadgetChecks:
