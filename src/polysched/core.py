@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 UNBOUNDED = math.inf
 """Heat / recurrence value of a schedule that never meets some edge.
@@ -62,14 +63,19 @@ class _Instance:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(normalize_edge(a, b) for a, b in self.edges))
-        seen: set[tuple[int, int]] = set()
-        for a, b in self.edges:
-            if not (0 <= a < b < self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for {self.n} persons")
-            if (a, b) in seen:
-                raise ValueError(f"duplicate edge ({a},{b}); graph must be simple")
-            seen.add((a, b))
+        edges = tuple([(a, b) if a < b else normalize_edge(a, b) for a, b in self.edges])
+        object.__setattr__(self, "edges", edges)
+        # checked in bulk (a < b holds now); the ordered loop only names the
+        # first bad edge
+        if edges and (min(edges)[0] < 0 or max(map(itemgetter(1), edges)) >= self.n
+                      or len(set(edges)) != len(edges)):
+            seen: set[tuple[int, int]] = set()
+            for a, b in edges:
+                if not (0 <= a < b < self.n):
+                    raise ValueError(f"edge ({a},{b}) out of range for {self.n} persons")
+                if (a, b) in seen:
+                    raise ValueError(f"duplicate edge ({a},{b}); graph must be simple")
+                seen.add((a, b))
 
     @property
     def m(self) -> int:
@@ -160,6 +166,27 @@ class PeriodicSchedule:
                 lists[e].append(t)
         return lists
 
+    def recurrence_times(self, n_edges: int) -> list:
+        """`recurrence_time(self, e)` for every edge 0..n_edges-1, in one sweep.
+
+        The sweep runs over two unrolled periods. The first only records each
+        edge's last day, so every meeting of the second has its cyclic
+        predecessor at hand. Every edge index on a day must be below n_edges
+        (see `check_structure`).
+        """
+        last = [0] * n_edges
+        for t, day in enumerate(self.days):
+            for e in day:
+                last[e] = t
+        gap = [0] * n_edges  # stays 0 only for an edge that never meets
+        for t, day in enumerate(self.days, start=self.period):
+            for e in day:
+                g = t - last[e]
+                if g > gap[e]:
+                    gap[e] = g
+                last[e] = t
+        return [g or UNBOUNDED for g in gap]
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -191,7 +218,16 @@ def check_structure(n_edges: int, schedule: PeriodicSchedule) -> Violation | Non
 
 def matching_violation(edges, schedule: PeriodicSchedule) -> Violation | None:
     """First day whose edge set is not a matching, if any."""
+    firsts = tuple(map(itemgetter(0), edges))
+    seconds = tuple(map(itemgetter(1), edges))
     for t, day in enumerate(schedule.days):
+        # a day of two or more edges passes in one step when its endpoints
+        # repeat no person; any other day is scanned in edge order, so a
+        # failing day names its first conflicting edge
+        if len(day) > 1:
+            ends = itemgetter(*day)
+            if len(set(ends(firsts) + ends(seconds))) == 2 * len(day):
+                continue
         used: set[int] = set()
         for e in sorted(day):
             a, b = edges[e]
@@ -210,14 +246,11 @@ def recurrence_time(schedule: PeriodicSchedule, e: int):
     gap over the infinite unrolling equals the max cyclic gap over one
     period (wrapping the period boundary).
     """
-    return _max_cyclic_gap(schedule.occurrences(e), schedule.period)
-
-
-def _max_cyclic_gap(occ: list[int], period: int):
+    occ = schedule.occurrences(e)
     if not occ:
         return UNBOUNDED
     gaps = [occ[i + 1] - occ[i] for i in range(len(occ) - 1)]
-    gaps.append(occ[0] + period - occ[-1])
+    gaps.append(occ[0] + schedule.period - occ[-1])
     return max(gaps)
 
 
@@ -227,8 +260,7 @@ def heat(instance: OpsInstance, schedule: PeriodicSchedule):
     if bad is not None:
         raise ValueError(f"schedule does not match instance: {bad}")
     worst = Fraction(0)
-    for e, occ in enumerate(schedule.occurrence_lists(instance.m)):
-        r = _max_cyclic_gap(occ, schedule.period)
+    for e, r in enumerate(schedule.recurrence_times(instance.m)):
         if r is UNBOUNDED:
             return UNBOUNDED
         h = instance.growth[e] * r
@@ -249,14 +281,13 @@ def verify_dps(instance: DpsInstance, schedule: PeriodicSchedule) -> Violation |
     bad = matching_violation(instance.edges, schedule)
     if bad is not None:
         return bad
-    for e, occ in enumerate(schedule.occurrence_lists(instance.m)):
-        r = _max_cyclic_gap(occ, schedule.period)
+    for e, (r, f) in enumerate(zip(schedule.recurrence_times(instance.m), instance.freq)):
         if r is UNBOUNDED:
             return Violation("never-scheduled", edge=e,
                              detail=f"edge {instance.edges[e]} never occurs")
-        if r > instance.freq[e]:
+        if r > f:
             return Violation("gap-too-large", edge=e,
-                             detail=f"edge {instance.edges[e]} recurs every {r} > f={instance.freq[e]}")
+                             detail=f"edge {instance.edges[e]} recurs every {r} > f={f}")
     return None
 
 

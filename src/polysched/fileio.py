@@ -89,12 +89,34 @@ def parse_instance(text: str) -> OpsInstance | DpsInstance:
         raise ParseError(str(exc), 1) from None
 
 
+def _edge_tokens(instance: OpsInstance | DpsInstance) -> list[str]:
+    """The canonical schedule token ``a-b`` of every edge, by edge index."""
+    return [f"{a}-{b}" for a, b in instance.edges]
+
+
 def emit_schedule(instance: OpsInstance | DpsInstance, schedule: PeriodicSchedule) -> str:
+    tokens = _edge_tokens(instance)
     lines = [f"sched {schedule.period}"]
     for day in schedule.days:
-        tokens = [f"{instance.edges[e][0]}-{instance.edges[e][1]}" for e in sorted(day)]
-        lines.append(" ".join(tokens))
+        lines.append(" ".join(map(tokens.__getitem__, sorted(day))))
     return "\n".join(lines) + "\n"
+
+
+def _read_day(by_token: dict[str, int], tokens: list[str], lineno: int) -> frozenset[int]:
+    """Read one day line token by token. This accepts other spellings of an
+    edge (``1-0``, ``01-2``) and names the first bad token and its line."""
+    day = set()
+    for token in tokens:
+        try:
+            a_s, b_s = token.split("-", 1)
+            a, b = normalize_edge(int(a_s), int(b_s))
+        except ValueError:
+            raise ParseError(f"bad edge token {token!r}", lineno) from None
+        e = by_token.get(f"{a}-{b}")
+        if e is None:
+            raise ParseError(f"edge {token!r} not in instance", lineno)
+        day.add(e)
+    return frozenset(day)
 
 
 def parse_schedule(instance: OpsInstance | DpsInstance, text: str) -> PeriodicSchedule:
@@ -110,18 +132,12 @@ def parse_schedule(instance: OpsInstance | DpsInstance, text: str) -> PeriodicSc
         raise ParseError("T must be an integer", 1) from None
     if len(lines) - 1 != period:
         raise ParseError(f"expected {period} day lines, found {len(lines) - 1}", len(lines))
-    index = instance.edge_index()
+    by_token = {token: i for i, token in enumerate(_edge_tokens(instance))}
     days = []
     for lineno, ln in enumerate(lines[1:], start=2):
-        day = set()
-        for token in ln.split():
-            try:
-                a_s, b_s = token.split("-", 1)
-                edge = normalize_edge(int(a_s), int(b_s))
-            except ValueError:
-                raise ParseError(f"bad edge token {token!r}", lineno) from None
-            if edge not in index:
-                raise ParseError(f"edge {token!r} not in instance", lineno)
-            day.add(index[edge])
-        days.append(frozenset(day))
+        tokens = ln.split()
+        try:
+            days.append(frozenset(map(by_token.__getitem__, tokens)))
+        except KeyError:
+            days.append(_read_day(by_token, tokens, lineno))
     return PeriodicSchedule(period, tuple(days))

@@ -9,8 +9,6 @@ immediately when no later edge can still cover the skipped edge.
 
 from __future__ import annotations
 
-import networkx as nx
-
 # most edges enumerate_maximal_matchings accepts by default: the count of
 # maximal matchings, and with it the exact solver's moves and the poly-density
 # LP's columns, grows exponentially in the edge count
@@ -79,6 +77,10 @@ def enumerate_maximal_matchings(
 def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
     """Size of a maximum matching, exact for general graphs at any edge count,
     by networkx's blossom-based max-cardinality matching."""
+    # imported here: networkx is most of the import time of polysched, and
+    # only the bounds need a maximum matching
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)

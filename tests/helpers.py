@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from polysched.core import (
     DpsInstance,
@@ -15,7 +15,6 @@ from polysched.core import (
     UNBOUNDED,
     Violation,
     check_structure,
-    matching_violation,
     recurrence_time,
 )
 from polysched.simplex import LpSolution
@@ -65,10 +64,19 @@ def max_gap_by_unrolling(schedule: PeriodicSchedule, e: int):
 
 
 def per_edge_verify_dps(instance: DpsInstance, schedule: PeriodicSchedule):
-    """`verify_dps` with one scan of the days per edge, through `recurrence_time`."""
-    bad = check_structure(instance.m, schedule) or matching_violation(instance.edges, schedule)
+    """`verify_dps` with each day scanned in sorted edge order for a shared
+    person, and one scan of the days per edge, through `recurrence_time`."""
+    bad = check_structure(instance.m, schedule)
     if bad is not None:
         return bad
+    for t, day in enumerate(schedule.days):
+        busy: set[int] = set()
+        for e in sorted(day):
+            a, b = instance.edges[e]
+            if a in busy or b in busy:
+                return Violation("not-a-matching", day=t, edge=e,
+                                 detail=f"person conflict on edge {instance.edges[e]}")
+            busy.update((a, b))
     for e in range(instance.m):
         r = recurrence_time(schedule, e)
         if r is UNBOUNDED:
@@ -177,6 +185,13 @@ def count_satisfied(clauses, assignment) -> int:
                for l in clause):
             total += 1
     return total
+
+
+def first_reaching_assignment(formula) -> tuple[bool, ...]:
+    """The first assignment, counting in binary from all-False, that
+    satisfies at least k clauses of the formula."""
+    return next(bits for bits in product((False, True), repeat=formula.num_vars)
+                if formula.count_satisfied(bits) >= formula.k)
 
 
 def small_formula_family(min_size: int = 50):

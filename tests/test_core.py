@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    first_reaching_assignment,
     heat_by_desire_simulation,
     max_gap_by_unrolling,
     per_edge_heat,
@@ -24,6 +25,7 @@ from polysched.core import (
     verify_dps,
 )
 from polysched.generators import figure1, figure1_schedule, tadpole, triangle_f2
+from polysched.satred import compile_formula, demo_formula, synthesize_schedule
 
 
 def schedule_of(*days):
@@ -68,6 +70,20 @@ class TestRational:
     def test_decimal_strings_exact(self):
         assert as_rational("0.25") == Fraction(1, 4)
         assert as_rational("7/6") == Fraction(7, 6)
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 5), (1, 1)), "self-loop on person 1"),
+    (((2, 1), (1, 2), (0, 0)), "self-loop on person 0"),
+    (((0, 1), (2, 9), (1, 0)), "edge (2,9) out of range for 4 persons"),
+    (((0, 1), (-1, 2)), "edge (-1,2) out of range for 4 persons"),
+    (((1, 0), (0, 1), (3, 9)), "duplicate edge (0,1); graph must be simple"),
+])
+def test_first_invalid_edge_is_named(edges, message):
+    """Self-loops are found first, then the first edge out of range or repeated."""
+    with pytest.raises(ValueError) as err:
+        DpsInstance(4, edges, (1,) * len(edges))
+    assert str(err.value) == message
 
 
 class TestRecurrence:
@@ -168,6 +184,32 @@ class TestVerify:
         assert set(kinds) == {None, "bad-edge-index", "not-a-matching",
                               "never-scheduled", "gap-too-large"}
         assert min(kinds.values()) >= 20, kinds
+
+        # a compiled reduction instance, with one occurrence dropped, one
+        # conflicting edge added to a day, or one out-of-range index added
+        formula = demo_formula()
+        art = compile_formula(formula)
+        dps = art.dps
+        base = synthesize_schedule(art, first_reaching_assignment(formula))
+        assert per_edge_verify_dps(dps, base) is None
+        compiled = Counter()
+        for case in ("drop", "conflict", "index") * 6:
+            days = [set(d) for d in base.days]
+            t = rng.randrange(len(days))
+            if case == "drop":
+                days[t].discard(rng.choice(sorted(days[t])))
+            elif case == "conflict":
+                busy = {p for e in days[t] for p in dps.edges[e]}
+                days[t].add(rng.choice([e for e in range(dps.m)
+                                        if e not in days[t] and busy & set(dps.edges[e])]))
+            else:
+                days[t].add(rng.choice([-1, dps.m, dps.m + 5]))
+            sched = PeriodicSchedule(len(days), tuple(days))
+            expected = per_edge_verify_dps(dps, sched)
+            assert verify_dps(dps, sched) == expected
+            compiled[expected and expected.kind] += 1
+        assert compiled["bad-edge-index"] == compiled["not-a-matching"] == 6, compiled
+        assert compiled["gap-too-large"] + compiled["never-scheduled"] == 6, compiled
 
 
 class TestConversions:

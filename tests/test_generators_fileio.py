@@ -1,6 +1,7 @@
 import pytest
+from helpers import first_reaching_assignment
 
-from polysched.core import DpsInstance, OpsInstance, heat, verify_dps, ops_to_dps
+from polysched.core import DpsInstance, OpsInstance, PeriodicSchedule, heat, verify_dps, ops_to_dps
 from polysched.fileio import (
     ParseError,
     emit_instance,
@@ -19,6 +20,7 @@ from polysched.generators import (
     triangle_f2,
     unweighted_fig4,
 )
+from polysched.satred import compile_formula, demo_formula, synthesize_schedule
 
 
 class TestGenerators:
@@ -127,3 +129,41 @@ class TestFileRoundTrip:
         sched = parse_schedule(inst, text)
         assert sched.days[1] == frozenset()
         assert emit_schedule(inst, sched) == text
+
+
+# edge indices 0..3 are 2-3, 0-1, 1-2, 0-3: token order is not index order
+SPELLING_INSTANCE = DpsInstance(4, ((2, 3), (0, 1), (1, 2), (0, 3)), (2, 2, 2, 2))
+
+
+@pytest.mark.parametrize("text, days", [
+    ("sched 2\n1-0\n3-2\n", [{1}, {0}]),
+    ("sched 2\n01-2\n0-1 2-003\n", [{2}, {0, 1}]),
+    ("sched 1\n0-1 0-1 1-0\n", [{1}]),
+    ("sched 2\n0-1 +1-2\n3-0\n", [{1, 2}, {3}]),
+], ids=["reversed", "leading-zero", "duplicated", "signed"])
+def test_schedule_token_spellings(text, days):
+    """Non-canonical spellings of an edge read as the edge itself."""
+    expected = PeriodicSchedule(len(days), tuple(frozenset(d) for d in days))
+    assert parse_schedule(SPELLING_INSTANCE, text) == expected
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("sched 3\n0-1\n\n0-9\n", "line 4: edge '0-9' not in instance", 4),
+    ("sched 3\n0-1\n1-0 2-3\n2-3 1-3\n", "line 4: edge '1-3' not in instance", 4),
+    ("sched 2\n0-1\nx-y\n", "line 3: bad edge token 'x-y'", 3),
+    ("sched 2\n0-1-2\n0-1\n", "line 2: bad edge token '0-1-2'", 2),
+    ("sched 1\n1-1\n", "line 2: bad edge token '1-1'", 2),
+    ("sched 1\n0-1 01\n", "line 2: bad edge token '01'", 2),
+], ids=["unknown", "unknown-after-reversed", "malformed", "three-part", "self-loop", "no-dash"])
+def test_schedule_token_errors(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_schedule(SPELLING_INSTANCE, text)
+    assert str(err.value) == message and err.value.line == line
+
+
+def test_large_schedule_bytes_stable():
+    formula = demo_formula()
+    art = compile_formula(formula)
+    text = emit_schedule(art.dps, synthesize_schedule(art, first_reaching_assignment(formula)))
+    assert art.dps.m == 1462
+    assert emit_schedule(art.dps, parse_schedule(art.dps, text)) == text
