@@ -205,16 +205,6 @@ def cmd_bound(args) -> int:
     return EX_OK
 
 
-@functools.lru_cache(maxsize=1)
-def _compiled(formula: CnfFormula):
-    """`compile_formula` of the last formula compiled in this process.
-
-    A `reduce-sat`, `synth`, `verify`, `extract` chain run in one process
-    then compiles once. The artifact is shared, so no command may change it.
-    """
-    return compile_formula(formula)
-
-
 def _artifact_from_sidecar(path: str):
     lines = _read(path).splitlines()
     header = [ln for ln in lines if ln.startswith("# cnf ")]
@@ -228,7 +218,7 @@ def _artifact_from_sidecar(path: str):
     formula = CnfFormula(int(n_s), tuple(clauses), int(k_s))
     if len(clauses) != int(m_s):
         raise CliError(f"{path}: clause count mismatch", EX_PARSE)
-    return _compiled(formula)
+    return compile_formula(formula)
 
 
 def cmd_reduce_sat(args) -> int:
@@ -236,7 +226,7 @@ def cmd_reduce_sat(args) -> int:
         formula = parse_dimacs(_read(args.cnf), k=args.k)
     except ValueError as exc:
         raise CliError(f"{args.cnf}: {exc}", EX_PARSE) from exc
-    artifact = _compiled(formula)
+    artifact = compile_formula(formula)
     _write(args.output, emit_instance(artifact.dps))
     sidecar = [f"# cnf {formula.num_vars} {formula.num_clauses} {formula.k}"]
     sidecar += [f"# clause {' '.join(str(l) for l in c)}" for c in formula.clauses]

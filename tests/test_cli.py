@@ -1,12 +1,8 @@
-import copy
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from helpers import first_reaching_assignment
-
-from polysched import cli
 from polysched.bounds import METHODS
 from polysched.cli import (
     EX_INCONCLUSIVE,
@@ -21,7 +17,6 @@ from polysched.fileio import format_rational
 from polysched.generators import figure1
 from polysched.matchings import MATCHING_CAP
 from polysched.report import run_one
-from polysched.satred import demo_formula, emit_dimacs
 
 
 def test_gen_heat_verify_flow(tmp_path, capsys):
@@ -146,43 +141,6 @@ def test_reduction_pipeline(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "01"
     # x1=True satisfies only the first clause
     assert main(["synth", "--artifact", str(dps), "--assign", "10"]) == EX_INFEASIBLE
-
-
-def test_reduction_chain_compiles_once(tmp_path, capsys, monkeypatch):
-    """In one process a reduce-sat, synth, verify, extract chain compiles the
-    formula once, and no command changes the shared artifact."""
-    compiled = []
-    real_compile = cli.compile_formula
-
-    def counting(formula):
-        compiled.append(formula)
-        return real_compile(formula)
-
-    monkeypatch.setattr(cli, "compile_formula", counting)
-    cli._compiled.cache_clear()
-    formula = demo_formula()
-    bits = "".join("01"[v] for v in first_reaching_assignment(formula))
-    cnf, dps, sched = tmp_path / "demo.cnf", tmp_path / "demo.dps", tmp_path / "demo.sched"
-    cnf.write_text(emit_dimacs(formula))
-    assert main(["reduce-sat", "--cnf", str(cnf), "-k", str(formula.k), "-o", str(dps)]) == EX_OK
-    assert len(compiled) == 1
-    artifact = cli._compiled(formula)
-    provenance = artifact.provenance_lines()
-    metas = copy.deepcopy([g.meta for g in artifact.gadgets])
-
-    def chain():
-        assert main(["synth", "--artifact", str(dps), "--assign", bits, "-o", str(sched)]) == EX_OK
-        assert main(["verify", str(dps), str(sched)]) == EX_OK
-        assert main(["extract", "--artifact", str(dps), "--schedule", str(sched)]) == EX_OK
-
-    chain()
-    assert len(compiled) == 1
-    assert capsys.readouterr().out.splitlines()[-2:] == ["ok", bits]
-    assert artifact.provenance_lines() == provenance
-    assert [g.meta for g in artifact.gadgets] == metas
-    cli._compiled.cache_clear()
-    chain()
-    assert len(compiled) == 2
 
 
 def test_cli_import_leaves_networkx_unloaded():
