@@ -179,7 +179,7 @@ def cmd_solve(args) -> int:
     instance = _load_ops(args.instance)
     result = ops_optimal_heat(instance, _limits(args), matching_cap=args.matching_cap)
     if result.status != FEASIBLE:
-        lo, hi = result.bracket or (None, None)
+        lo, hi = result.bracket
         print(f"inconclusive; bracket ({lo}, {hi})")
         return EX_INCONCLUSIVE
     print(f"optimal heat {format_rational(result.heat)}")

@@ -311,10 +311,10 @@ def dps_to_ops(instance: DpsInstance) -> OpsInstance:
 
 def normalize(instance: OpsInstance, optimal_schedule: PeriodicSchedule) -> OpsInstance:
     """Unit-fraction growth rates g'(e) = 1/r(e); heat of the given schedule becomes exactly 1."""
-    growth = []
-    for e in range(instance.m):
-        r = recurrence_time(optimal_schedule, e)
-        if r is UNBOUNDED:
-            raise ValueError("schedule has unbounded heat; cannot normalize")
-        growth.append(Fraction(1, r))
-    return OpsInstance(instance.n, instance.edges, tuple(growth))
+    bad = check_structure(instance.m, optimal_schedule)
+    if bad is not None:
+        raise ValueError(f"schedule does not match instance: {bad}")
+    times = optimal_schedule.recurrence_times(instance.m)
+    if UNBOUNDED in times:
+        raise ValueError("schedule has unbounded heat; cannot normalize")
+    return OpsInstance(instance.n, instance.edges, tuple(Fraction(1, r) for r in times))

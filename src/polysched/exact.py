@@ -54,10 +54,6 @@ class FeasibilityResult:
     schedule: PeriodicSchedule | None
     explored: int
 
-    @property
-    def feasible(self) -> bool:
-        return self.status == FEASIBLE
-
 
 class ConfigGraph:
     """The configuration graph of one instance over a fixed list of matchings.
@@ -255,35 +251,35 @@ def ops_optimal_heat(
                 witnesses[h] = res.schedule
         return probes[h]
 
+    def inconclusive() -> OptimalHeatResult:
+        # the optimum lies above every infeasible probe and at or below every
+        # feasible one
+        lower = max((h for h, v in probes.items() if v == INFEASIBLE), default=None)
+        upper = min((h for h, v in probes.items() if v == FEASIBLE), default=None)
+        return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
+                                 bracket=(lower, upper))
+
     lo, hi = 0, len(cands) - 1
     top = probe(cands[hi])
     if top == INCONCLUSIVE:
-        return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
-                                 bracket=(None, None))
+        return inconclusive()
     if top != FEASIBLE:
         raise RuntimeError(f"the (Delta+1)*g_max candidate probed {top}")
     while lo < hi:
         mid = (lo + hi) // 2
         verdict = probe(cands[mid])
         if verdict == INCONCLUSIVE:
-            lower = max((h for h, v in probes.items() if v == INFEASIBLE), default=None)
-            upper = min((h for h, v in probes.items() if v == FEASIBLE), default=None)
-            return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
-                                     bracket=(lower, upper))
+            return inconclusive()
         if verdict == FEASIBLE:
             hi = mid
         else:
             lo = mid + 1
     h_star = cands[lo]
-    pred = None
-    if lo > 0:
-        pred = cands[lo - 1]
-        verdict = probe(pred)
-        if verdict == INCONCLUSIVE:
-            return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
-                                     bracket=(None, h_star))
-        if verdict != INFEASIBLE:
-            raise RuntimeError(f"binary search invariant: {pred} probed {verdict}")
+    # lo only grows past a candidate probed infeasible, so the predecessor
+    # was probed in the loop
+    pred = cands[lo - 1] if lo > 0 else None
+    if pred is not None and probes[pred] != INFEASIBLE:
+        raise RuntimeError(f"binary search invariant: {pred} probed {probes[pred]}")
     schedule = witnesses[h_star]
     violation = verify_dps(ops_to_dps(instance, h_star), schedule)
     if violation is not None:

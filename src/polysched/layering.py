@@ -32,15 +32,9 @@ def decompose(instance: OpsInstance, level_count: int) -> LayerDecomposition:
     g_max = instance.g_max
     layers: list[list[int]] = [[] for _ in range(level_count + 1)]
     for e, g in enumerate(instance.growth):
-        if g <= g_max / 2**level_count:
-            layers[level_count].append(e)
-            continue
-        for i in range(level_count):
-            if g_max / 2 ** (i + 1) < g <= g_max / 2**i:
-                layers[i].append(e)
-                break
-        else:
-            raise AssertionError("bands must cover every edge")
+        # band i holds 2^i <= g_max/g < 2^(i+1), so i = floor(lg(g_max/g))
+        r = g_max / g
+        layers[min((r.numerator // r.denominator).bit_length() - 1, level_count)].append(e)
     return LayerDecomposition(level_count, tuple(tuple(band) for band in layers))
 
 

@@ -25,25 +25,18 @@ from ..core import DpsInstance
 from .cnf import CnfFormula
 from .tiling import class_phases
 
-# the blue (1, 4, 7, 10) and green (2, 8) phases of a 12-day edge: channel c
-# (1-based) uses BLUE_PHASE[(c-1) % 4] and GREEN_PHASE[(c-1) % 2]
-BLUE_PHASE = tuple(class_phases(12, "B"))
-GREEN_PHASE = tuple(class_phases(12, "G"))
 
-
-def channel_blue_phase(c: int) -> int:
-    return BLUE_PHASE[(c - 1) % 4]
-
-
-def channel_green_phase(c: int) -> int:
-    return GREEN_PHASE[(c - 1) % 2]
+def channel_phase(color: str, c: int) -> int:
+    """Phase of channel c (1-based) as a 12-day edge of colour B or G: the
+    colour's phases in turn, blue (1, 4, 7, 10) and green (2, 8)."""
+    phases = class_phases(12, color)
+    return phases[(c - 1) % len(phases)]
 
 
 def _iv_phase(kind: str, c: int) -> int:
     """Phase of the B12 or G12 constant at pair c's Swap IV person: half a
     period from the channel's own phase of that colour."""
-    phase = channel_blue_phase(c) if kind == "B12" else channel_green_phase(c)
-    return (phase + 6) % 12
+    return (channel_phase(kind[0], c) + 6) % 12
 
 
 # port kinds: frequency and forced slot color (a literal's colour is its value)
@@ -58,7 +51,7 @@ KIND_SPEC = {
     "G12": (12, "G"),
 }
 # the phases that split a phased kind's pool
-_PHASES = {"B12": BLUE_PHASE, "G12": GREEN_PHASE}
+_PHASES = {kind: class_phases(*KIND_SPEC[kind]) for kind in ("B12", "G12")}
 # duplicating a red constant pins the nine-edges blue, and vice versa
 _NINE_COLOR = {"R3": "B", "B3": "R"}
 

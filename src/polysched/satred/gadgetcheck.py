@@ -28,7 +28,6 @@ GADGET_KINDS = (
     "SB6", "SB12", "SG12", "Swap", "Tension",
 )
 
-FULL = {3: list(range(3)), 6: list(range(6)), 9: list(range(9)), 12: list(range(12))}
 # most local schedules one gadget model may enumerate before the check gives up
 _ENUMERATION_BUDGET = 2_000_000
 
@@ -55,15 +54,17 @@ class _Model:
     """Edge list builder for an isolated gadget."""
 
     def __init__(self):
-        self.edges: list[tuple[str, object, object, int, list[int]]] = []
+        self.edges: list[tuple[str, object, object, int, tuple[int, ...]]] = []
         self._ext = 0
 
     def edge(self, name: str, a: object, b: object | None, freq: int,
-             domain: list[int]) -> None:
+             color: str | None = None) -> None:
+        """Edge a-b (b None: a fresh person) whose phases keep to the colour
+        class, or take every phase when color is None."""
         if b is None:
             self._ext += 1
             b = f"_ext{self._ext}"
-        self.edges.append((name, a, b, freq, list(domain)))
+        self.edges.append((name, a, b, freq, class_phases(freq, color)))
 
     def enumerate(self):
         variables = [(name, freq, domain) for name, _, _, freq, domain in self.edges]
@@ -115,10 +116,10 @@ def _scenario(name, model, predicates) -> ScenarioResult:
 
 def _variable_scenarios():
     model = _Model()
-    model.edge("valR", "x", None, 3, FULL[3])
-    model.edge("valB", "x", None, 3, FULL[3])
-    model.edge("g6", "x", None, 6, class_phases(6, "G"))
-    model.edge("p6", "x", None, 6, class_phases(6, "P"))
+    model.edge("valR", "x", None, 3)
+    model.edge("valB", "x", None, 3)
+    model.edge("g6", "x", None, 6, "G")
+    model.edge("p6", "x", None, 6, "P")
 
     def both_orders(sols):
         forms = {(sol["valR"][1], sol["valB"][1]) for sol in sols}
@@ -132,19 +133,19 @@ def _d3_scenarios():
     for case, in_color in (("red-input", "R"), ("blue-input", "B")):
         model = _Model()
         nine_color = "B" if in_color == "R" else "R"
-        model.edge("in", "a", None, 3, class_phases(3, in_color))
-        model.edge("g6_in", "a", None, 6, class_phases(6, "G"))
-        model.edge("p6_out", "a", None, 6, class_phases(6, "P"))
+        model.edge("in", "a", None, 3, in_color)
+        model.edge("g6_in", "a", None, 6, "G")
+        model.edge("p6_out", "a", None, 6, "P")
         for j in range(3):
-            model.edge(f"nine{j}", "a", f"n{j}", 9, FULL[9])
-        model.edge("p6_in", "n0", None, 6, class_phases(6, "P"))
-        model.edge("six01", "n0", "n1", 6, class_phases(6, "G"))
-        model.edge("six12", "n1", "n2", 6, class_phases(6, "P"))
-        model.edge("g6_out", "n2", None, 6, class_phases(6, "G"))
+            model.edge(f"nine{j}", "a", f"n{j}", 9)
+        model.edge("p6_in", "n0", None, 6, "P")
+        model.edge("six01", "n0", "n1", 6, "G")
+        model.edge("six12", "n1", "n2", 6, "P")
+        model.edge("g6_out", "n2", None, 6, "G")
         for j in range(3):
-            model.edge(f"copy{j}", f"n{j}", None, 3, FULL[3])
-            model.edge(f"down{j}a", f"n{j}", None, 9, FULL[9])
-            model.edge(f"down{j}b", f"n{j}", None, 9, FULL[9])
+            model.edge(f"copy{j}", f"n{j}", None, 3)
+            model.edge(f"down{j}a", f"n{j}", None, 9)
+            model.edge(f"down{j}b", f"n{j}", None, 9)
         nines = [f"nine{j}" for j in range(3)]
         nines += [f"down{j}{s}" for j in range(3) for s in "ab"]
         yield case, model, [_forced([f"copy{j}" for j in range(3)], in_color),
@@ -154,39 +155,39 @@ def _d3_scenarios():
 def _d6_scenarios():
     for case, in_color, out12 in (("purple-input", "P", "G"), ("green-input", "G", "P")):
         model = _Model()
-        model.edge("root", "a", None, 6, class_phases(6, in_color))
-        model.edge("b3_in", "a", None, 3, class_phases(3, "B"))
-        model.edge("r3_out", "a", None, 3, class_phases(3, "R"))
-        model.edge("t12ab", "a", "b", 12, FULL[12])
-        model.edge("t12ac", "a", "c", 12, FULL[12])
-        model.edge("r3_in_b", "b", None, 3, class_phases(3, "R"))
-        model.edge("b3_bc", "b", "c", 3, class_phases(3, "B"))
-        model.edge("r3_out_c", "c", None, 3, class_phases(3, "R"))
-        model.edge("out_b", "b", None, 6, FULL[6])
-        model.edge("out_c", "c", None, 6, FULL[6])
-        model.edge("stub_b", "b", None, 12, FULL[12])
-        model.edge("stub_c", "c", None, 12, FULL[12])
+        model.edge("root", "a", None, 6, in_color)
+        model.edge("b3_in", "a", None, 3, "B")
+        model.edge("r3_out", "a", None, 3, "R")
+        model.edge("t12ab", "a", "b", 12)
+        model.edge("t12ac", "a", "c", 12)
+        model.edge("r3_in_b", "b", None, 3, "R")
+        model.edge("b3_bc", "b", "c", 3, "B")
+        model.edge("r3_out_c", "c", None, 3, "R")
+        model.edge("out_b", "b", None, 6)
+        model.edge("out_c", "c", None, 6)
+        model.edge("stub_b", "b", None, 12)
+        model.edge("stub_c", "c", None, 12)
         yield case, model, [_forced(("out_b", "out_c"), in_color),
                             _forced(("t12ab", "t12ac", "stub_b", "stub_c"), out12)]
 
 
-def _add_d12(model: _Model, side, in_domain, outs) -> None:
+def _add_d12(model: _Model, side, in_color, outs) -> None:
     """A D12 duplicator with input at I{side}; outs: (name, far end) at D{side}."""
     i_node, d_node = f"I{side}", f"D{side}"
-    model.edge(f"in{side}", i_node, None, 12, in_domain)
-    model.edge(f"oprime{side}", i_node, None, 12, FULL[12])
-    model.edge(f"obar{side}", i_node, d_node, 6, FULL[6])
+    model.edge(f"in{side}", i_node, None, 12, in_color)
+    model.edge(f"oprime{side}", i_node, None, 12)
+    model.edge(f"obar{side}", i_node, d_node, 6)
     for node in (i_node, d_node):
-        model.edge(f"r3_{node}", node, None, 3, class_phases(3, "R"))
-        model.edge(f"b6_{node}", node, None, 6, class_phases(6, "B"))
-        model.edge(f"p6_{node}", node, None, 6, class_phases(6, "P"))
+        model.edge(f"r3_{node}", node, None, 3, "R")
+        model.edge(f"b6_{node}", node, None, 6, "B")
+        model.edge(f"p6_{node}", node, None, 6, "P")
     for name, far in outs:
-        model.edge(name, d_node, far, 12, FULL[12])
+        model.edge(name, d_node, far, 12)
 
 
 def _d12_scenarios():
     model = _Model()
-    _add_d12(model, "", FULL[12], (("out1", None), ("out2", None)))
+    _add_d12(model, "", None, (("out1", None), ("out2", None)))
 
     def same_color(sols):
         for sol in sols:
@@ -208,12 +209,12 @@ def _or_scenarios():
         name = "inputs-" + "".join("R" if r else "B" for r in reds)
         model = _Model()
         for j, red in enumerate(reds):
-            model.edge(f"lit{j}", f"i{j}", None, 3, class_phases(3, "R" if red else "B"))
-            model.edge(f"t12_{j}", f"i{j}", "or", 12, FULL[12])
-        model.edge("r3", "or", None, 3, class_phases(3, "R"))
-        model.edge("six1", "or", None, 6, FULL[6])
-        model.edge("six2", "or", None, 6, FULL[6])
-        model.edge("out", "or", None, 12, FULL[12])
+            model.edge(f"lit{j}", f"i{j}", None, 3, "R" if red else "B")
+            model.edge(f"t12_{j}", f"i{j}", "or", 12)
+        model.edge("r3", "or", None, 3, "R")
+        model.edge("six1", "or", None, 6)
+        model.edge("six2", "or", None, 6)
+        model.edge("out", "or", None, 12)
 
         def out_range(sols, any_red=any(reds)):
             seen = _colors(sols, "out")
@@ -232,17 +233,17 @@ def _or_scenarios():
 
 def _add_or2(model: _Model, out: str) -> None:
     """An Or2 gate whose inputs end at V; its output edge `out` leaves IV."""
-    model.edge("vs12", "V", None, 12, FULL[12])
-    model.edge("vs6", "V", None, 6, FULL[6])
-    model.edge("vprime", "V", "IV", 12, FULL[12])
-    model.edge("r3_V", "V", None, 3, class_phases(3, "R"))
-    model.edge("p6_V", "V", None, 6, class_phases(6, "P"))
-    model.edge("r3_IV", "IV", None, 3, class_phases(3, "R"))
-    model.edge("p6_IV", "IV", None, 6, class_phases(6, "P"))
-    model.edge("b6_IV", "IV", None, 6, class_phases(6, "B"))
-    model.edge("b12_IV", "IV", None, 12, class_phases(12, "B"))
-    model.edge("g12_IV", "IV", None, 12, class_phases(12, "G"))
-    model.edge(out, "IV", None, 12, FULL[12])
+    model.edge("vs12", "V", None, 12)
+    model.edge("vs6", "V", None, 6)
+    model.edge("vprime", "V", "IV", 12)
+    model.edge("r3_V", "V", None, 3, "R")
+    model.edge("p6_V", "V", None, 6, "P")
+    model.edge("r3_IV", "IV", None, 3, "R")
+    model.edge("p6_IV", "IV", None, 6, "P")
+    model.edge("b6_IV", "IV", None, 6, "B")
+    model.edge("b12_IV", "IV", None, 12, "B")
+    model.edge("g12_IV", "IV", None, 12, "G")
+    model.edge(out, "IV", None, 12)
 
 
 def _gate_scenarios(add_gate, node, blue_rule):
@@ -250,8 +251,8 @@ def _gate_scenarios(add_gate, node, blue_rule):
     for c1, c2 in product("BG", repeat=2):
         name = f"inputs-{c1}{c2}"
         model = _Model()
-        model.edge("in1", node, None, 12, class_phases(12, c1))
-        model.edge("in2", node, None, 12, class_phases(12, c2))
+        model.edge("in1", node, None, 12, c1)
+        model.edge("in2", node, None, 12, c2)
         add_gate(model, "out")
         blue_allowed = blue_rule(c1, c2)
 
@@ -276,16 +277,16 @@ def _or2_scenarios():
 
 def _add_and2(model: _Model, out: str) -> None:
     """An And2 gate whose inputs end at A; its output edge `out` leaves IA."""
-    model.edge("as12a", "A", None, 12, FULL[12])
-    model.edge("as12b", "A", None, 12, FULL[12])
-    model.edge("aand", "A", "IA", 6, FULL[6])
-    model.edge("r3_A", "A", None, 3, class_phases(3, "R"))
-    model.edge("p6_A", "A", None, 6, class_phases(6, "P"))
-    model.edge("r3_IA", "IA", None, 3, class_phases(3, "R"))
-    model.edge("b6_IA", "IA", None, 6, class_phases(6, "B"))
-    model.edge("p6_IA", "IA", None, 6, class_phases(6, "P"))
-    model.edge("aprime", "IA", None, 12, FULL[12])
-    model.edge(out, "IA", None, 12, FULL[12])
+    model.edge("as12a", "A", None, 12)
+    model.edge("as12b", "A", None, 12)
+    model.edge("aand", "A", "IA", 6)
+    model.edge("r3_A", "A", None, 3, "R")
+    model.edge("p6_A", "A", None, 6, "P")
+    model.edge("r3_IA", "IA", None, 3, "R")
+    model.edge("b6_IA", "IA", None, 6, "B")
+    model.edge("p6_IA", "IA", None, 6, "P")
+    model.edge("aprime", "IA", None, 12)
+    model.edge(out, "IA", None, 12)
 
 
 def _and2_scenarios():
@@ -307,16 +308,16 @@ def _splitter_scenarios(kind):
         outs = [("out1", 12), ("out2", 12)]
         want = "G"
     for name, freq, color in pins:
-        model.edge(name, "s", None, freq, class_phases(freq, color))
+        model.edge(name, "s", None, freq, color)
     for name, freq in outs:
-        model.edge(name, "s", None, freq, FULL[freq])
+        model.edge(name, "s", None, freq)
     yield "free", model, [_forced([nm for nm, _ in outs], want)]
 
 
-def _swap_model(in1_domain, in2_domain):
+def _swap_model(in1_color, in2_color):
     model = _Model()
-    for side, dom in ((1, in1_domain), (2, in2_domain)):
-        _add_d12(model, side, dom, ((f"o{side}1", "V"), (f"o{side}2", "A")))
+    for side, color in ((1, in1_color), (2, in2_color)):
+        _add_d12(model, side, color, ((f"o{side}1", "V"), (f"o{side}2", "A")))
     _add_or2(model, "out_or")
     _add_and2(model, "out_and")
     return model
@@ -325,7 +326,7 @@ def _swap_model(in1_domain, in2_domain):
 def _swap_scenarios():
     for c1, c2 in product("BG", repeat=2):
         name = f"inputs-{c1}{c2}"
-        model = _swap_model(class_phases(12, c1), class_phases(12, c2))
+        model = _swap_model(c1, c2)
         or_blue_ok = "B" in (c1, c2)
         and_blue_ok = (c1, c2) == ("B", "B")
 
@@ -353,10 +354,10 @@ def _swap_scenarios():
 def _tension_scenarios():
     model = _Model()
     for i in range(4):
-        model.edge(f"in{i}", "T", None, 12, FULL[12])
-    model.edge("r3", "T", None, 3, class_phases(3, "R"))
-    model.edge("g6", "T", None, 6, class_phases(6, "G"))
-    model.edge("p6", "T", None, 6, class_phases(6, "P"))
+        model.edge(f"in{i}", "T", None, 12)
+    model.edge("r3", "T", None, 3, "R")
+    model.edge("g6", "T", None, 6, "G")
+    model.edge("p6", "T", None, 6, "P")
     yield "free", model, [_forced([f"in{i}" for i in range(4)], "B")]
 
 

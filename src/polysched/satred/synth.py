@@ -1,22 +1,20 @@
 """Schedule synthesis from a satisfying assignment, and assignment extraction.
 
 Synthesis builds a period-36 schedule (the lcm of the gadget periods 6, 12,
-18). Edge phases come in three groups: constants and 3-day value edges are
-forced outright; channel edges follow a per-channel phase discipline (blue
-phase [1,4,7,10] by channel mod 4, green [2,8] by channel mod 2) matching
-the compile-time splitter allocation; everything else is settled by small
-per-gadget tiling solves in construction order.
+18). One rule, `_domain`, gives every edge its candidate phases: a channel
+edge takes its colour's channel phase (the compile-time splitter
+allocation), a phased B12/G12 port its producer's phase, a value edge the
+class of its literal, and every other edge its colour class. Pass 1 commits
+every one-phase domain; pass 2 settles the rest by small per-gadget tiling
+solves in construction order.
 """
 
 from __future__ import annotations
 
+import math
+
 from ..core import PeriodicSchedule, verify_dps
-from .build import (
-    GadgetRec,
-    ReductionArtifact,
-    channel_blue_phase,
-    channel_green_phase,
-)
+from .build import GadgetRec, ReductionArtifact, channel_phase
 from .tiling import PERIOD, SLOT, class_phases, occ_mask, solve_first
 
 
@@ -97,23 +95,12 @@ def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSche
         masks[b] = masks.get(b, 0) | mask
         phases[e] = phase
 
-    # pass 1: every edge whose phase is forced
-    for rec in artifact.edge_recs:
-        e = rec.index
-        freq = rec.freq
-        if rec.color is not None and SLOT[rec.color][1] == freq:
-            assign(e, SLOT[rec.color][0])  # the colour's one phase at its own period
-        elif rec.color in ("B", "G") and freq == 12 and rec.role in (
-            "const-B12", "const-G12", "surplus-B12", "surplus-G12",
-        ):
-            src = artifact.gadget(rec.src[0])
-            assign(e, src.meta["port_phase"][rec.src[1]] % 12)
-        elif rec.role in ("value", "value-spare"):
-            assign(e, SLOT["R" if _literal_red(artifact, rec, assignment) else "B"][0])
-        elif e in channel_colors:
-            c = artifact.channel_of_edge[e]
-            color = channel_colors[e]
-            assign(e, channel_blue_phase(c) if color == "B" else channel_green_phase(c))
+    domains = [_domain(artifact, rec, assignment, channel_colors)
+               for rec in artifact.edge_recs]
+    # pass 1: every one-phase domain
+    for e, domain in enumerate(domains):
+        if len(domain) == 1:
+            assign(e, domain[0])
 
     # pass 2: per-gadget local solves in construction order, except that
     # splitters and pendants settle last: the consumer of a flexible port
@@ -124,14 +111,11 @@ def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSche
     for g in solve_order:
         free = []
         endpoints = {}
-        seen = set()
-        for name, e in g.edges.items():
-            if e in phases or e in seen:
+        for e in g.edges.values():
+            if e in phases or e in endpoints:
                 continue
-            seen.add(e)
             rec = artifact.edge_recs[e]
-            domain = _free_domain(artifact, rec, assignment)
-            free.append((e, rec.freq, domain))
+            free.append((e, rec.freq, domains[e]))
             endpoints[e] = (rec.a, rec.b)
         if not free:
             continue
@@ -140,10 +124,6 @@ def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSche
             raise SynthesisError(f"no local schedule for {g.name}")
         for e, phase in sol.items():
             assign(e, phase)
-
-    missing = [e for e in range(dps.m) if e not in phases]
-    if missing:
-        raise SynthesisError(f"unassigned edges {missing[:5]}")
 
     days = [set() for _ in range(PERIOD)]
     for e, phase in phases.items():
@@ -174,13 +154,26 @@ def _literal_red(artifact: ReductionArtifact, rec, assignment) -> bool:
     return value == (pol > 0)
 
 
-def _free_domain(artifact, rec, assignment) -> list[int]:
-    if rec.color is not None:
-        return class_phases(rec.freq, rec.color)
-    if rec.freq == 9:
-        # a literal chain's nine-edges take the class opposite to its copies
-        return class_phases(9, "B" if _literal_red(artifact, rec, assignment) else "R")
-    return list(range(rec.freq))
+def _domain(artifact: ReductionArtifact, rec, assignment,
+            channel_colors: dict[int, str]) -> tuple[int, ...]:
+    """Candidate phases of one edge, in the order the local solves try them.
+
+    A channel edge or a phased B12/G12 port has one phase; so has a value
+    edge, which keeps to the class of its literal. A nine-edge with no colour
+    takes the class opposite its literal (a literal chain's nine-edges
+    oppose its copies); every other edge keeps to its colour class.
+    """
+    e = rec.index
+    if e in channel_colors:
+        return (channel_phase(channel_colors[e], artifact.channel_of_edge[e]),)
+    port_phase = artifact.gadget(rec.src[0]).meta.get("port_phase", {})
+    if rec.src[1] in port_phase:
+        return (port_phase[rec.src[1]],)
+    color = rec.color
+    if color is None and rec.freq in (3, 9):
+        red = _literal_red(artifact, rec, assignment)
+        color = "R" if red == (rec.freq == 3) else "B"
+    return class_phases(rec.freq, color)
 
 
 # -- extraction ---------------------------------------------------------------
@@ -206,12 +199,9 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
     violation = verify_dps(artifact.dps, schedule)
     if violation is not None:
         raise ExtractionError(f"schedule invalid: {violation}")
-    horizon = schedule.period
-    while horizon % 6:
-        horizon += schedule.period
-
-    occ = schedule.occurrence_lists(artifact.dps.m)
     period = schedule.period
+    horizon = math.lcm(period, 6)
+    occ = schedule.occurrence_lists(artifact.dps.m)
 
     clock_days = {c: _occurrence_days(occ[e], period, horizon)
                   for c, e in artifact.clock_edges.items()}

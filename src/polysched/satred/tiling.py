@@ -14,6 +14,7 @@ days (phase domains, synthesis phases, extraction) reads it from here.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import cache
 
 PERIOD = 36
 
@@ -28,9 +29,11 @@ def occ_mask(freq: int, phase: int) -> int:
     return mask
 
 
-def class_phases(freq: int, color: str) -> list[int]:
-    """Phases whose occurrence set lies inside the color class."""
-    return [p for p in range(freq) if phase_color(freq, p) == color]
+@cache
+def class_phases(freq: int, color: str | None) -> tuple[int, ...]:
+    """Phases whose occurrence set lies inside the color class; every phase
+    when color is None."""
+    return tuple(p for p in range(freq) if color is None or phase_color(freq, p) == color)
 
 
 def phase_color(freq: int, phase: int) -> str | None:

@@ -39,6 +39,14 @@ def test_solve_exact(tmp_path, capsys):
     assert main(["verify", str(ops), str(out_sched)]) == EX_OK
 
 
+def test_solve_out_of_budget_prints_an_open_bracket(tmp_path, capsys):
+    ops = tmp_path / "fig1.ops"
+    main(["gen", "figure1", "-o", str(ops)])
+    capsys.readouterr()
+    assert main(["solve", str(ops), "--max-states", "1"]) == EX_INCONCLUSIVE
+    assert capsys.readouterr().out == "inconclusive; bracket (None, None)\n"
+
+
 def test_feasible_exit_codes(tmp_path):
     tri = tmp_path / "tri.dps"
     main(["gen", "triangle-f2", "-o", str(tri)])

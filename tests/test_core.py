@@ -293,3 +293,10 @@ class TestNormalize:
         inst = OpsInstance(3, ((0, 1), (1, 2)), (1, 1))
         with pytest.raises(ValueError):
             normalize(inst, schedule_of({0}))
+
+    def test_bad_edge_index_rejected_as_heat_rejects_it(self):
+        inst = OpsInstance(2, ((0, 1),), (Fraction(7),))
+        sched = schedule_of({0}, {5})
+        for judge in (heat, normalize):
+            with pytest.raises(ValueError, match="bad-edge-index"):
+                judge(inst, sched)

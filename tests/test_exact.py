@@ -26,6 +26,7 @@ from polysched.generators import (
     triangle_f2,
 )
 from polysched.matchings import enumerate_maximal_matchings
+from polysched.report import seeded_suite
 
 
 def random_dps(rng, max_n=5, max_m=5, max_f=4):
@@ -312,6 +313,34 @@ class TestOptimalHeat:
                               text=True, env=env, timeout=60)
         assert proc.returncode != 0
         assert "fails verification" in proc.stderr
+
+    def test_inconclusive_bracket_holds_the_optimum(self):
+        # an inconclusive search brackets the optimum between its largest
+        # infeasible probe and its smallest feasible one
+        for _, inst in seeded_suite(1, 12):
+            h_star = ops_optimal_heat(inst).heat
+            for max_states in (1, 5, 20, 50, 200):
+                result = ops_optimal_heat(inst, SearchLimits(max_states=max_states))
+                if result.status == FEASIBLE:
+                    assert result.heat == h_star and result.bracket is None
+                    continue
+                assert result.status == INCONCLUSIVE and result.heat is None
+                lower, upper = result.bracket
+                probed = result.probes.items()
+                assert lower == max((h for h, v in probed if v == INFEASIBLE), default=None)
+                assert upper == min((h for h, v in probed if v == FEASIBLE), default=None)
+                assert lower is None or lower < h_star
+                assert upper is None or h_star <= upper
+
+    def test_budget_runs_out_inside_the_search(self):
+        # the search proves 30 and 24 feasible and 18 infeasible before its
+        # probe of 21 runs out of states
+        inst = dict(seeded_suite(1, 6))["rand-1-5"]
+        result = ops_optimal_heat(inst, SearchLimits(max_states=200))
+        assert result.status == INCONCLUSIVE
+        assert result.bracket == (18, 24)
+        assert list(result.probes.values()).count(INCONCLUSIVE) == 1
+        assert ops_optimal_heat(inst).heat == 24
 
     def test_matches_brute_force_heat_on_tiny_instances(self):
         rng = random.Random(71)

@@ -51,6 +51,17 @@ class TestDecompose:
         decomp = decompose(inst, 1)
         # g = 2 = g_max/2 goes to the lower band, not band 0
         assert decomp.layers == ((0,), (1,))
+        # g = g_max/2^i opens band i; a hair above it stays in band i-1, and
+        # band L takes everything from g_max/2^L down
+        g_max = Fraction(3, 7)
+        growth = [g_max / 2**i for i in range(6)]
+        growth += [g_max / 2**i * Fraction(1001, 1000) for i in range(1, 6)]
+        inst = OpsInstance(12, tuple((0, j) for j in range(1, 12)), tuple(growth))
+        for level in range(6):
+            want = [min(i, level) for i in range(6)] + [min(i - 1, level) for i in range(1, 6)]
+            layers = decompose(inst, level).layers
+            assert [next(b for b, band in enumerate(layers) if e in band)
+                    for e in range(inst.m)] == want
 
 
 class TestLayeredSchedule:

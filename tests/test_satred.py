@@ -365,8 +365,9 @@ class TestTiling:
             assert phase_color(freq, phase) == next(
                 (c for c in SLOT if keeps_to(phase, c)), None)
         for color in SLOT:
-            assert class_phases(freq, color) == [
-                p for p in range(freq) if keeps_to(p, color)]
+            assert class_phases(freq, color) == tuple(
+                p for p in range(freq) if keeps_to(p, color))
+        assert class_phases(freq, None) == tuple(range(freq))
 
 
 class TestGadgetChecks:
