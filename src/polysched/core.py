@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 UNBOUNDED = math.inf
 """Heat / recurrence value of a schedule that never meets some edge.
@@ -254,19 +254,23 @@ def recurrence_time(schedule: PeriodicSchedule, e: int):
     return max(gaps)
 
 
+def scaled_growth(instance: OpsInstance) -> tuple[int, list[int]]:
+    """The common denominator L of the growth rates, and every g(e) * L (an integer)."""
+    denom = math.lcm(*{g.denominator for g in instance.growth})
+    return denom, [g.numerator * (denom // g.denominator) for g in instance.growth]
+
+
 def heat(instance: OpsInstance, schedule: PeriodicSchedule):
     """max over edges of g(e) * recurrence_time(e); UNBOUNDED if an edge never occurs."""
     bad = check_structure(instance.m, schedule)
     if bad is not None:
         raise ValueError(f"schedule does not match instance: {bad}")
-    worst = Fraction(0)
-    for e, r in enumerate(schedule.recurrence_times(instance.m)):
-        if r is UNBOUNDED:
-            return UNBOUNDED
-        h = instance.growth[e] * r
-        if h > worst:
-            worst = h
-    return worst
+    times = schedule.recurrence_times(instance.m)
+    if UNBOUNDED in times:
+        return UNBOUNDED
+    # g(e) * r(e) compared as integers over the common denominator
+    denom, scaled = scaled_growth(instance)
+    return Fraction(max(map(mul, scaled, times), default=0), denom)
 
 
 def verify_dps(instance: DpsInstance, schedule: PeriodicSchedule) -> Violation | None:
@@ -297,9 +301,10 @@ def ops_to_dps(instance: OpsInstance, h) -> DpsInstance:
     Requires h >= g_max, else some f(e) would be 0.
     """
     h = as_rational(h)
-    if h < instance.g_max:
+    num, den = h.numerator, h.denominator
+    freqs = tuple(num * g.denominator // (den * g.numerator) for g in instance.growth)
+    if min(freqs) < 1:
         raise ValueError("heat below max growth rate")
-    freqs = tuple(int(h / g) for g in instance.growth)
     return DpsInstance(instance.n, instance.edges, freqs)
 
 

@@ -24,6 +24,12 @@ density <= 1 always fit), stars of load <= 5/6 (every such pinwheel instance
 is schedulable; Kawamura, STOC 2024) and a star holding every edge of the
 instance, which the full search decides itself. A skip can only lose a
 pruning, never change a verdict.
+
+`ops_optimal_heat` brackets the optimum before it searches. The round-robin
+schedule of a Delta+1 edge colouring is a witness at a candidate heat, the
+ceiling. The least candidate whose frequencies pass the load check, found by
+bisection in integer units without any search, is the floor. Only candidates
+between the two are probed.
 """
 
 from __future__ import annotations
@@ -33,7 +39,16 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import DpsInstance, OpsInstance, PeriodicSchedule, ops_to_dps, verify_dps
+from .coloring import round_robin_schedule
+from .core import (
+    DpsInstance,
+    OpsInstance,
+    PeriodicSchedule,
+    heat,
+    ops_to_dps,
+    scaled_growth,
+    verify_dps,
+)
 from .generators import pinwheel_star
 from .matchings import MATCHING_CAP, enumerate_maximal_matchings
 
@@ -83,6 +98,7 @@ class ConfigGraph:
                        sum((instance.freq[e] - 1) << self.offsets[e] for e in mm))
                       for mm in sorted(matchings, key=sorted)]
         self.start = self.pack(instance.freq)
+        self._fit: dict[int, list] = {}  # must-set -> the moves covering it, in order
 
     def pack(self, state: tuple[int, ...]) -> int:
         return sum((u - 1) << o for u, o in zip(state, self.offsets))
@@ -98,15 +114,40 @@ class ConfigGraph:
         dec = lifted - self.ones
         must = self.guards & ~dec
         relief = self.guards & ~(lifted - self.twos)
-        out = [(mm, (dec & keep) | reset, (relief & gm).bit_count())
-               for mm, gm, keep, reset in self.moves if must & gm == must]
-        out.sort(key=lambda t: -t[2])  # stable: ties keep the moves' order
-        return [(mm, nxt) for mm, nxt, _ in out]
+        fit = self._fit.get(must)
+        if fit is None:
+            fit = self._fit[must] = [move for move in self.moves if must & move[1] == must]
+        if relief == must:
+            # every move covers the must-set, so every relief count is equal
+            return [(mm, (dec & keep) | reset) for mm, _, keep, reset in fit]
+        out = [(-(relief & gm).bit_count(), i, mm, (dec & keep) | reset)
+               for i, (mm, gm, keep, reset) in enumerate(fit)]
+        out.sort()  # the index breaks ties in move order, so sets are never compared
+        return [(mm, nxt) for _, _, mm, nxt in out]
 
 
 # Kawamura (STOC 2024): every pinwheel instance of density <= 5/6 is
 # schedulable, so a star this light cannot prove anything
 STAR_SKIP_LOAD = Fraction(5, 6)
+
+
+def _stars(n: int, edges, freq) -> list[tuple[list[int], int, int]]:
+    """Per person: its edges' frequencies and its load sum(1/f) as the integer
+    sum(unit // f) over `unit`, the lcm of those frequencies.
+
+    The load check needs load <= 1 at every person: a person serves one edge
+    per day, and edge e claims a 1/f(e) share of its endpoints' days in the
+    long run.
+    """
+    star: list[list[int]] = [[] for _ in range(n)]
+    for (a, b), f in zip(edges, freq):
+        star[a].append(f)
+        star[b].append(f)
+    out = []
+    for freqs in star:
+        unit = math.lcm(*freqs)
+        out.append((freqs, sum(unit // f for f in freqs), unit))
+    return out
 
 
 def dps_feasible(
@@ -132,18 +173,12 @@ def dps_feasible(
     """
     limits = limits or SearchLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
-    # necessary condition: a person can serve one edge per day, and edge e
-    # claims a 1/f(e) share of its endpoints' days in the long run
-    load = [Fraction(0)] * instance.n
-    star: list[list[int]] = [[] for _ in range(instance.n)]
-    for (a, b), f in zip(instance.edges, instance.freq):
-        for v in (a, b):
-            load[v] += Fraction(1, f)
-            star[v].append(f)
-    if any(v > 1 for v in load):
+    stars = _stars(instance.n, instance.edges, instance.freq)
+    if any(load > unit for _, load, unit in stars):
         return FeasibilityResult(INFEASIBLE, None, 0)
-    for freqs, v_load in zip(star, load):
-        if len(freqs) < 3 or v_load <= STAR_SKIP_LOAD or len(freqs) == instance.m:
+    skip_num, skip_den = STAR_SKIP_LOAD.numerator, STAR_SKIP_LOAD.denominator
+    for freqs, load, unit in stars:
+        if len(freqs) < 3 or load * skip_den <= skip_num * unit or len(freqs) == instance.m:
             continue
         pinwheel = pinwheel_star(*sorted(freqs))
         result = _search(pinwheel, [frozenset({e}) for e in range(pinwheel.m)], limits, deadline)
@@ -162,42 +197,43 @@ def _search(
 ) -> FeasibilityResult:
     """Depth-first cycle search over the configuration graph from the all-f state."""
     graph = ConfigGraph(instance, matchings)
+    successors = graph.successors
+    max_states = limits.max_states
     dead: set[int] = set()
-    on_path: dict[int, int] = {graph.start: 0}
-    path_states = [graph.start]
+    on_path: dict[int, int] = {graph.start: 0}  # state -> depth; the last is the top
     path_moves: list[frozenset[int]] = []
-    stack = [iter(graph.successors(graph.start))]
+    stack = [iter(successors(graph.start))]
     explored = 1
 
     while stack:
-        if explored > limits.max_states:
+        if explored > max_states:
             return FeasibilityResult(INCONCLUSIVE, None, explored)
         if deadline is not None and time.monotonic() > deadline:
             return FeasibilityResult(INCONCLUSIVE, None, explored)
-        try:
-            mm, nxt = next(stack[-1])
-        except StopIteration:
+        for mm, nxt in stack[-1]:
+            if nxt in on_path:
+                days = path_moves[on_path[nxt]:] + [mm]
+                schedule = PeriodicSchedule(len(days), tuple(days))
+                return FeasibilityResult(FEASIBLE, schedule, explored)
+            if nxt not in dead:
+                on_path[nxt] = len(path_moves) + 1
+                path_moves.append(mm)
+                stack.append(iter(successors(nxt)))
+                explored += 1
+                break
+        else:  # no live successor left: this state is dead
             stack.pop()
-            top = path_states.pop()
-            del on_path[top]
+            dead.add(on_path.popitem()[0])
             if path_moves:
                 path_moves.pop()
-            dead.add(top)
-            continue
-        if nxt in on_path:
-            d0 = on_path[nxt]
-            days = path_moves[d0:] + [mm]
-            schedule = PeriodicSchedule(len(days), tuple(days))
-            return FeasibilityResult(FEASIBLE, schedule, explored)
-        if nxt in dead:
-            continue
-        on_path[nxt] = len(path_states)
-        path_states.append(nxt)
-        path_moves.append(mm)
-        stack.append(iter(graph.successors(nxt)))
-        explored += 1
 
     return FeasibilityResult(INFEASIBLE, None, explored)
+
+
+# the rungs that settle an end of the optimum's bracket
+LOAD = "load"  # every candidate below the floor overloads some person
+ROUND_ROBIN = "round-robin"  # the schedule of a Delta+1 edge colouring
+SEARCH = "search"  # a `dps_feasible` probe
 
 
 @dataclass
@@ -208,6 +244,21 @@ class OptimalHeatResult:
     predecessor: Fraction | None  # largest candidate below heat, certified infeasible
     probes: dict[Fraction, str] = field(default_factory=dict)
     bracket: tuple[Fraction | None, Fraction | None] | None = None  # when inconclusive
+    # the rung that settled each end, (lower, upper): the predecessor and the
+    # heat, or the bracket's ends; None for an end that is None
+    rungs: tuple[str | None, str | None] = (None, None)
+
+
+def _scaled_candidates(instance: OpsInstance) -> tuple[int, list[int], list[int]]:
+    """The common denominator L of the growth rates, every g(e)*L, and every
+    candidate heat times L, ascending (see `heat_candidates`)."""
+    denom, scaled = scaled_growth(instance)
+    lo = max(scaled)
+    hi = (instance.max_degree + 1) * lo
+    cands: set[int] = set()
+    for step in set(scaled):
+        cands.update(range(-(-lo // step) * step, hi + 1, step))
+    return denom, scaled, sorted(cands)
 
 
 def heat_candidates(instance: OpsInstance) -> list[Fraction]:
@@ -216,14 +267,8 @@ def heat_candidates(instance: OpsInstance) -> list[Fraction]:
     Over the common denominator L of the growth rates, the candidates of g are
     the multiples of the integer g*L between g_max*L and (Delta+1)*g_max*L.
     """
-    denom = math.lcm(*(g.denominator for g in instance.growth))
-    lo = instance.g_max.numerator * (denom // instance.g_max.denominator)
-    hi = (instance.max_degree + 1) * lo
-    cands: set[int] = set()
-    for g in set(instance.growth):
-        step = g.numerator * (denom // g.denominator)
-        cands.update(range(-(-lo // step) * step, hi + 1, step))
-    return [Fraction(c, denom) for c in sorted(cands)]
+    denom, _, cands = _scaled_candidates(instance)
+    return [Fraction(c, denom) for c in cands]
 
 
 def ops_optimal_heat(
@@ -233,55 +278,94 @@ def ops_optimal_heat(
 ) -> OptimalHeatResult:
     """Least candidate heat whose induced decision instance is feasible.
 
-    Feasibility of ops_to_dps(I, h) is monotone nondecreasing in h, so a
-    binary search over the sorted candidate set returns the optimum together
-    with a witness schedule; the predecessor candidate is probed infeasible
-    as the optimality certificate.
+    Feasibility of ops_to_dps(I, h) is monotone nondecreasing in h, and so is
+    the load check. The optimum is bracketed before any search:
+
+    - ceiling: the round-robin schedule of a Delta+1 edge colouring has heat
+      C*g_max with C <= Delta+1, a candidate, and is the witness there;
+    - floor: the least candidate whose frequencies pass the load check, found
+      by bisection in integer units with no search; every candidate below it
+      overloads some person.
+
+    A binary search over the candidates between floor and ceiling then probes
+    through `dps_feasible`; a feasible probe lowers the ceiling to its
+    witness's heat. The predecessor candidate of the optimum is certified
+    infeasible: by a probe in the search, or else, below the floor, by one
+    probe the load check settles with 0 states. `probes` holds every heat
+    passed to `dps_feasible`, in call order. An inconclusive result brackets
+    the optimum above the largest infeasible probe (or the floor's
+    predecessor) and at or below the smallest feasible probe (or the
+    round-robin heat).
     """
-    cands = heat_candidates(instance)
+    denom, scaled, units = _scaled_candidates(instance)
+    index = {c: i for i, c in enumerate(units)}
+
+    def cand(i: int) -> Fraction:
+        return Fraction(units[i], denom)
+
     matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
     probes: dict[Fraction, str] = {}
-    witnesses: dict[Fraction, PeriodicSchedule] = {}
 
-    def probe(h: Fraction) -> str:
-        if h not in probes:
-            res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=matchings)
-            probes[h] = res.status
-            if res.status == FEASIBLE:
-                witnesses[h] = res.schedule
-        return probes[h]
+    def probe(h: Fraction) -> FeasibilityResult:
+        res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=matchings)
+        probes[h] = res.status
+        return res
+
+    def heat_index(schedule: PeriodicSchedule) -> int:
+        h = heat(instance, schedule)
+        i = index.get(h * denom)  # a Fraction of denominator 1 finds its int
+        if i is None:
+            raise RuntimeError(f"witness heat {h} is not a candidate heat")
+        return i
+
+    def overloaded(unit_heat: int) -> bool:
+        freq = [unit_heat // g for g in scaled]
+        return any(load > unit for _, load, unit in _stars(instance.n, instance.edges, freq))
+
+    schedule = round_robin_schedule(instance)  # the witness at cand(hi) throughout
+    top = hi = heat_index(schedule)
+    floor, passing = 0, hi  # the load check passes at the round-robin heat
+    while floor < passing:
+        mid = (floor + passing) // 2
+        if overloaded(units[mid]):
+            floor = mid + 1
+        else:
+            passing = mid
 
     def inconclusive() -> OptimalHeatResult:
-        # the optimum lies above every infeasible probe and at or below every
-        # feasible one
-        lower = max((h for h, v in probes.items() if v == INFEASIBLE), default=None)
-        upper = min((h for h, v in probes.items() if v == FEASIBLE), default=None)
+        infeasible = [h for h, v in probes.items() if v == INFEASIBLE]
+        feasible = [h for h, v in probes.items() if v == FEASIBLE]
+        lower = max(infeasible, default=cand(floor - 1) if floor else None)
+        upper = min(feasible, default=cand(top))
+        rungs = (SEARCH if infeasible else LOAD if floor else None,
+                 SEARCH if feasible else ROUND_ROBIN)
         return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
-                                 bracket=(lower, upper))
+                                 bracket=(lower, upper), rungs=rungs)
 
-    lo, hi = 0, len(cands) - 1
-    top = probe(cands[hi])
-    if top == INCONCLUSIVE:
-        return inconclusive()
-    if top != FEASIBLE:
-        raise RuntimeError(f"the (Delta+1)*g_max candidate probed {top}")
+    lo = floor
     while lo < hi:
         mid = (lo + hi) // 2
-        verdict = probe(cands[mid])
-        if verdict == INCONCLUSIVE:
+        res = probe(cand(mid))
+        if res.status == INCONCLUSIVE:
             return inconclusive()
-        if verdict == FEASIBLE:
-            hi = mid
+        if res.status == FEASIBLE:
+            schedule = res.schedule
+            hi = heat_index(schedule)
         else:
             lo = mid + 1
-    h_star = cands[lo]
-    # lo only grows past a candidate probed infeasible, so the predecessor
-    # was probed in the loop
-    pred = cands[lo - 1] if lo > 0 else None
+    if hi < lo:
+        raise RuntimeError(f"witness heat {cand(hi)} is below a candidate certified infeasible")
+    h_star = cand(hi)
+    pred = cand(hi - 1) if hi > 0 else None
+    # lo only grows past a candidate probed infeasible; a predecessor never
+    # probed lies below the floor
+    if pred is not None and pred not in probes:
+        probe(pred)
     if pred is not None and probes[pred] != INFEASIBLE:
-        raise RuntimeError(f"binary search invariant: {pred} probed {probes[pred]}")
-    schedule = witnesses[h_star]
+        raise RuntimeError(f"predecessor invariant: {pred} probed {probes[pred]}")
     violation = verify_dps(ops_to_dps(instance, h_star), schedule)
     if violation is not None:
         raise RuntimeError(f"witness at heat {h_star} fails verification: {violation}")
-    return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes)
+    rungs = (None if pred is None else LOAD if hi == floor else SEARCH,
+             ROUND_ROBIN if hi == top else SEARCH)
+    return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes, rungs=rungs)

@@ -22,6 +22,7 @@ PERIOD = 36
 SLOT = {"R": (0, 3), "B": (1, 3), "G": (2, 6), "P": (5, 6)}
 
 
+@cache
 def occ_mask(freq: int, phase: int) -> int:
     mask = 0
     for d in range(phase, PERIOD, freq):

@@ -15,8 +15,19 @@ from polysched.core import (
     UNBOUNDED,
     Violation,
     check_structure,
+    ops_to_dps,
     recurrence_time,
+    verify_dps,
 )
+from polysched.exact import (
+    FEASIBLE,
+    INCONCLUSIVE,
+    INFEASIBLE,
+    OptimalHeatResult,
+    dps_feasible,
+    heat_candidates,
+)
+from polysched.matchings import enumerate_maximal_matchings
 from polysched.simplex import LpSolution
 
 
@@ -282,3 +293,51 @@ def reference_solve_max(c, a_rows, b) -> LpSolution:
     objective = -zrow[-1]
     duals = [-zrow[n + i] for i in range(m)]
     return LpSolution(objective, x, duals, pivots)
+
+
+def reference_optimal_heat(instance: OpsInstance, limits=None) -> OptimalHeatResult:
+    """The plain binary search over every candidate heat, its top probe at
+    (Delta+1)*g_max included, that `ops_optimal_heat` must equal in heat and
+    predecessor."""
+    cands = heat_candidates(instance)
+    matchings = enumerate_maximal_matchings(instance.n, instance.edges)
+    probes: dict[Fraction, str] = {}
+    witnesses: dict[Fraction, PeriodicSchedule] = {}
+
+    def probe(h: Fraction) -> str:
+        if h not in probes:
+            res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=matchings)
+            probes[h] = res.status
+            if res.status == FEASIBLE:
+                witnesses[h] = res.schedule
+        return probes[h]
+
+    def inconclusive() -> OptimalHeatResult:
+        lower = max((h for h, v in probes.items() if v == INFEASIBLE), default=None)
+        upper = min((h for h, v in probes.items() if v == FEASIBLE), default=None)
+        return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes, bracket=(lower, upper))
+
+    lo, hi = 0, len(cands) - 1
+    top = probe(cands[hi])
+    if top == INCONCLUSIVE:
+        return inconclusive()
+    if top != FEASIBLE:
+        raise RuntimeError(f"the (Delta+1)*g_max candidate probed {top}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        verdict = probe(cands[mid])
+        if verdict == INCONCLUSIVE:
+            return inconclusive()
+        if verdict == FEASIBLE:
+            hi = mid
+        else:
+            lo = mid + 1
+    h_star = cands[lo]
+    pred = cands[lo - 1] if lo > 0 else None
+    if pred is not None and probes[pred] != INFEASIBLE:
+        raise RuntimeError(f"binary search invariant: {pred} probed {probes[pred]}")
+    schedule = witnesses[h_star]
+    violation = verify_dps(ops_to_dps(instance, h_star), schedule)
+    if violation is not None:
+        raise RuntimeError(f"witness at heat {h_star} fails verification: {violation}")
+    return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes)

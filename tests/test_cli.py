@@ -43,8 +43,10 @@ def test_solve_out_of_budget_prints_an_open_bracket(tmp_path, capsys):
     ops = tmp_path / "fig1.ops"
     main(["gen", "figure1", "-o", str(ops)])
     capsys.readouterr()
+    # the load check and the round-robin schedule bracket the optimum before
+    # the first search probe runs out of states
     assert main(["solve", str(ops), "--max-states", "1"]) == EX_INCONCLUSIVE
-    assert capsys.readouterr().out == "inconclusive; bracket (None, None)\n"
+    assert capsys.readouterr().out == "inconclusive; bracket (144, 400)\n"
 
 
 def test_feasible_exit_codes(tmp_path):

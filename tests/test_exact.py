@@ -6,13 +6,18 @@ import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
-from helpers import brute_force_dps_feasible, naive_successors
+from helpers import brute_force_dps_feasible, naive_successors, reference_optimal_heat
 
-from polysched.core import DpsInstance, OpsInstance, ops_to_dps, verify_dps
+from polysched import exact
+from polysched.coloring import round_robin_schedule
+from polysched.core import DpsInstance, OpsInstance, heat, ops_to_dps, verify_dps
 from polysched.exact import (
     FEASIBLE,
     INCONCLUSIVE,
     INFEASIBLE,
+    LOAD,
+    ROUND_ROBIN,
+    SEARCH,
     ConfigGraph,
     SearchLimits,
     dps_feasible,
@@ -36,6 +41,12 @@ def random_dps(rng, max_n=5, max_m=5, max_f=4):
     edges = tuple(sorted(rng.sample(pool, m)))
     freq = tuple(rng.randint(1, max_f) for _ in edges)
     return DpsInstance(n, edges, freq)
+
+
+def overloaded(inst):
+    """Some person's edges claim more than all of its days: sum of 1/f > 1."""
+    return any(sum(Fraction(1, f) for (a, b), f in zip(inst.edges, inst.freq) if v in (a, b)) > 1
+               for v in range(inst.n))
 
 
 def config_graph(inst):
@@ -258,6 +269,43 @@ class TestOptimalHeat:
         assert result.probes[Fraction(144)] == INFEASIBLE
         assert verify_dps(ops_to_dps(figure1(), 160), result.schedule) is None
 
+    def test_rungs_name_what_settled_each_end(self):
+        # figure 1: the load check settles 144, a search witness 160
+        assert ops_optimal_heat(figure1()).rungs == (LOAD, SEARCH)
+        # the search proves 23 infeasible; the round-robin schedule has heat 24
+        result = ops_optimal_heat(dict(seeded_suite(1, 6))["rand-1-5"])
+        assert (result.heat, result.predecessor) == (24, 23)
+        assert result.rungs == (SEARCH, ROUND_ROBIN)
+        # g_max is the least candidate: no predecessor to settle
+        result = ops_optimal_heat(OpsInstance(2, ((0, 1),), (Fraction(7),)))
+        assert (result.predecessor, result.rungs) == (None, (None, ROUND_ROBIN))
+
+    def test_matches_the_plain_binary_search(self):
+        for seed in range(1, 6):
+            for name, inst in seeded_suite(seed, 200):
+                result = ops_optimal_heat(inst)
+                expected = reference_optimal_heat(inst)
+                assert (result.heat, result.predecessor) == (expected.heat, expected.predecessor), name
+                assert verify_dps(ops_to_dps(inst, result.heat), result.schedule) is None, name
+                assert heat(inst, result.schedule) == result.heat, name
+                if result.predecessor is not None:
+                    assert result.probes[result.predecessor] == INFEASIBLE, name
+
+    def test_probes_are_the_heats_dps_feasible_received(self, monkeypatch):
+        # the bench's tracer zips `probes` with the `dps_feasible` spans
+        received = []
+
+        def recording(instance, *args, **kwargs):
+            received.append(instance.freq)
+            return dps_feasible(instance, *args, **kwargs)
+
+        monkeypatch.setattr(exact, "dps_feasible", recording)
+        for _, inst in seeded_suite(2, 40):
+            for limits in (None, SearchLimits(max_states=20)):
+                received.clear()
+                result = ops_optimal_heat(inst, limits)
+                assert [ops_to_dps(inst, h).freq for h in result.probes] == received
+
     def test_single_edge(self):
         inst = OpsInstance(2, ((0, 1),), (Fraction(7),))
         result = ops_optimal_heat(inst)
@@ -315,10 +363,14 @@ class TestOptimalHeat:
         assert "fails verification" in proc.stderr
 
     def test_inconclusive_bracket_holds_the_optimum(self):
-        # an inconclusive search brackets the optimum between its largest
-        # infeasible probe and its smallest feasible one
+        # an inconclusive search brackets the optimum above its largest
+        # infeasible probe, or else the load floor's predecessor, and at or
+        # below its smallest feasible probe, or else the round-robin heat
         for _, inst in seeded_suite(1, 12):
             h_star = ops_optimal_heat(inst).heat
+            cands = heat_candidates(inst)
+            below_floor = max((h for h in cands if overloaded(ops_to_dps(inst, h))), default=None)
+            round_robin = heat(inst, round_robin_schedule(inst))
             for max_states in (1, 5, 20, 50, 200):
                 result = ops_optimal_heat(inst, SearchLimits(max_states=max_states))
                 if result.status == FEASIBLE:
@@ -327,19 +379,22 @@ class TestOptimalHeat:
                 assert result.status == INCONCLUSIVE and result.heat is None
                 lower, upper = result.bracket
                 probed = result.probes.items()
-                assert lower == max((h for h, v in probed if v == INFEASIBLE), default=None)
-                assert upper == min((h for h, v in probed if v == FEASIBLE), default=None)
+                assert lower == max((h for h, v in probed if v == INFEASIBLE),
+                                    default=below_floor)
+                assert upper == min((h for h, v in probed if v == FEASIBLE),
+                                    default=round_robin)
                 assert lower is None or lower < h_star
-                assert upper is None or h_star <= upper
+                assert h_star <= upper
 
     def test_budget_runs_out_inside_the_search(self):
-        # the search proves 30 and 24 feasible and 18 infeasible before its
-        # probe of 21 runs out of states
+        # the load check fails at 17 and passes at 18, the round-robin
+        # schedule has heat 24, and the first probe, at 21, runs out of states
         inst = dict(seeded_suite(1, 6))["rand-1-5"]
         result = ops_optimal_heat(inst, SearchLimits(max_states=200))
         assert result.status == INCONCLUSIVE
-        assert result.bracket == (18, 24)
-        assert list(result.probes.values()).count(INCONCLUSIVE) == 1
+        assert result.bracket == (17, 24)
+        assert result.rungs == (LOAD, ROUND_ROBIN)
+        assert result.probes == {Fraction(21): INCONCLUSIVE}
         assert ops_optimal_heat(inst).heat == 24
 
     def test_matches_brute_force_heat_on_tiny_instances(self):
