@@ -125,12 +125,11 @@ def poly_density(instance: OpsInstance) -> PolyDensityResult:
     c = [Fraction(1)] + [Fraction(0)] * n_m
     rows = [[Fraction(0)] + [Fraction(1)] * n_m]  # sum y <= 1
     b = [Fraction(1)]
-    for e in range(m):
-        row = [Fraction(1)]
-        for mm in matchings:
-            row.append(-1 / instance.growth[e] if e in mm else Fraction(0))
-        rows.append(row)
-        b.append(Fraction(0))
+    zero = Fraction(0)
+    for e, g in enumerate(instance.growth):
+        coef = -1 / g
+        rows.append([Fraction(1)] + [coef if e in mm else zero for mm in matchings])
+        b.append(zero)
     sol = solve_max(c, rows, b)
 
     ell = sol.objective

@@ -210,13 +210,14 @@ def _artifact_from_sidecar(path: str):
     header = [ln for ln in lines if ln.startswith("# cnf ")]
     if not header:
         raise CliError(f"{path}: missing '# cnf' header", EX_PARSE)
-    _, _, n_s, m_s, k_s = header[0].split()
-    clauses = []
-    for ln in lines:
-        if ln.startswith("# clause "):
-            clauses.append(tuple(int(x) for x in ln.split()[2:]))
-    formula = CnfFormula(int(n_s), tuple(clauses), int(k_s))
-    if len(clauses) != int(m_s):
+    try:
+        n_vars, m, k = map(int, header[0].split()[2:])
+        clauses = [tuple(int(x) for x in ln.split()[2:])
+                   for ln in lines if ln.startswith("# clause ")]
+        formula = CnfFormula(n_vars, tuple(clauses), k)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", EX_PARSE) from exc
+    if len(clauses) != m:
         raise CliError(f"{path}: clause count mismatch", EX_PARSE)
     return compile_formula(formula)
 

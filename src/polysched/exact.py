@@ -34,8 +34,10 @@ between the two are probed.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -155,7 +157,7 @@ def dps_feasible(
     limits: SearchLimits | None = None,
     matching_cap: int = MATCHING_CAP,
     *,
-    _matchings: list[frozenset[int]] | None = None,
+    _matchings: Callable[[], list[frozenset[int]]] | None = None,
 ) -> FeasibilityResult:
     """Decide feasibility: the load check, the star checks (see the module
     docstring), then the depth-first cycle search from the all-f state.
@@ -168,8 +170,9 @@ def dps_feasible(
     star's own count when a star proves infeasibility, else the full
     search's, which a feasible or inconclusive star leaves unchanged. Each
     search gets `max_states`; all share one `time_limit` deadline.
-    `_matchings` lets `ops_optimal_heat` enumerate the maximal matchings
-    once for all its probes, which share the edge set.
+    `_matchings` lets `ops_optimal_heat` share one enumeration of the
+    maximal matchings among its probes, which share the edge set; it is
+    called only when the full search runs.
     """
     limits = limits or SearchLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
@@ -185,8 +188,10 @@ def dps_feasible(
         if result.status == INFEASIBLE:
             return result
     if _matchings is None:
-        _matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
-    return _search(instance, _matchings, limits, deadline)
+        matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
+    else:
+        matchings = _matchings()
+    return _search(instance, matchings, limits, deadline)
 
 
 def _search(
@@ -295,7 +300,9 @@ def ops_optimal_heat(
     passed to `dps_feasible`, in call order. An inconclusive result brackets
     the optimum above the largest infeasible probe (or the floor's
     predecessor) and at or below the smallest feasible probe (or the
-    round-robin heat).
+    round-robin heat). The maximal matchings are enumerated once, by the
+    first probe that reaches the full search, so an instance above
+    `matching_cap` raises `MatchingCapExceeded` only when one does.
     """
     denom, scaled, units = _scaled_candidates(instance)
     index = {c: i for i, c in enumerate(units)}
@@ -303,7 +310,8 @@ def ops_optimal_heat(
     def cand(i: int) -> Fraction:
         return Fraction(units[i], denom)
 
-    matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
+    matchings = functools.cache(
+        lambda: enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap))
     probes: dict[Fraction, str] = {}
 
     def probe(h: Fraction) -> FeasibilityResult:

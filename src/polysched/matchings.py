@@ -9,6 +9,8 @@ immediately when no later edge can still cover the skipped edge.
 
 from __future__ import annotations
 
+from collections import deque
+
 # most edges enumerate_maximal_matchings accepts by default: the count of
 # maximal matchings, and with it the exact solver's moves and the poly-density
 # LP's columns, grows exponentially in the edge count
@@ -75,13 +77,86 @@ def enumerate_maximal_matchings(
 
 
 def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
-    """Size of a maximum matching, exact for general graphs at any edge count,
-    by networkx's blossom-based max-cardinality matching."""
-    # imported here: networkx is most of the import time of polysched, and
-    # only the bounds need a maximum matching
-    import networkx as nx
+    """Size of a maximum matching, exact for general graphs at any edge count.
 
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(edges)
-    return len(nx.max_weight_matching(graph, maxcardinality=True))
+    Edmonds' blossom algorithm (Edmonds, "Paths, trees, and flowers", 1965):
+    a greedy maximal matching, then one breadth-first search for an
+    augmenting path from each exposed person. An odd cycle met in the search
+    is contracted by pointing its persons' `base` at the cycle's lowest
+    common ancestor in the search tree. A person with no augmenting path
+    keeps none after later augmentations, so one search per person suffices.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    mate = [-1] * n
+    size = 0
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+        if mate[a] < 0 and mate[b] < 0:
+            mate[a], mate[b] = b, a
+            size += 1
+
+    def augment(root: int) -> bool:
+        # the person before an odd person on its alternating path to root;
+        # set on even persons too once a blossom holds them
+        parent = [-1] * n
+        base = list(range(n))
+        even = [False] * n  # in the tree at an even distance from root
+        even[root] = True
+        queue = deque([root])
+
+        def lca(a: int, b: int) -> int:
+            seen = [False] * n
+            while True:
+                a = base[a]
+                seen[a] = True
+                if mate[a] < 0:
+                    break
+                a = parent[mate[a]]
+            while not seen[base[b]]:
+                b = parent[mate[base[b]]]
+            return base[b]
+
+        def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
+            # walk from v up to the blossom's base, pointing odd persons
+            # back across the cycle so a path through the blossom exists
+            while base[v] != top:
+                blossom[base[v]] = blossom[base[mate[v]]] = True
+                parent[v] = child
+                child = mate[v]
+                v = parent[mate[v]]
+
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if base[v] == base[w] or mate[v] == w:
+                    continue
+                if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                    # w is even too: the edge closes an odd cycle, contract it
+                    top = lca(v, w)
+                    blossom = [False] * n
+                    mark(v, top, w, blossom)
+                    mark(w, top, v, blossom)
+                    for u in range(n):
+                        if blossom[base[u]]:
+                            base[u] = top
+                            if not even[u]:
+                                even[u] = True
+                                queue.append(u)
+                elif parent[w] < 0:
+                    parent[w] = v
+                    if mate[w] < 0:  # exposed: flip the path back to root
+                        while w >= 0:
+                            v = parent[w]
+                            nxt = mate[v]
+                            mate[w], mate[v] = v, w
+                            w = nxt
+                        return True
+                    even[mate[w]] = True
+                    queue.append(mate[w])
+        return False
+
+    for root in range(n):
+        if mate[root] < 0 and adj[root] and augment(root):
+            size += 1
+    return size

@@ -306,7 +306,7 @@ def reference_optimal_heat(instance: OpsInstance, limits=None) -> OptimalHeatRes
 
     def probe(h: Fraction) -> str:
         if h not in probes:
-            res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=matchings)
+            res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=lambda: matchings)
             probes[h] = res.status
             if res.status == FEASIBLE:
                 witnesses[h] = res.schedule

@@ -1,7 +1,10 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from polysched.bounds import METHODS
 from polysched.cli import (
@@ -126,6 +129,15 @@ def test_enumeration_cap(tmp_path, capsys):
     assert capsys.readouterr().out == "trivial 2\n"
 
 
+def test_solve_above_the_cap_when_the_bracket_closes(tmp_path, capsys):
+    # 30 disjoint unit edges: the load floor and the round-robin ceiling
+    # meet at heat 1, so no search runs and nothing is enumerated
+    ops = tmp_path / "disjoint.ops"
+    ops.write_text("ops 60 30\n" + "".join(f"{2 * i} {2 * i + 1} 1\n" for i in range(30)))
+    assert main(["solve", str(ops)]) == EX_OK
+    assert capsys.readouterr().out == "optimal heat 1\n"
+
+
 def test_schedule_algorithms(tmp_path, capsys):
     ops = tmp_path / "fig1.ops"
     main(["gen", "figure1", "-o", str(ops)])
@@ -153,14 +165,66 @@ def test_reduction_pipeline(tmp_path, capsys):
     assert main(["synth", "--artifact", str(dps), "--assign", "10"]) == EX_INFEASIBLE
 
 
+@pytest.mark.parametrize("sidecar, message", [
+    ("# cnf 3 1\n", "not enough values to unpack"),
+    ("# cnf 3 x 1\n", "invalid literal for int()"),
+    ("# cnf 3 1 1\n# clause 1 -2 9\n", "literal 9 out of range"),
+])
+def test_malformed_sidecar_is_a_parse_error(tmp_path, capsys, sidecar, message):
+    dps = tmp_path / "f.dps"
+    dps.write_text("dps 2 1\n0 1 2\n")
+    Path(f"{dps}.prov").write_text(sidecar)
+    argv = ["synth", "--artifact", str(dps), "--assign", "101", "-o", str(tmp_path / "f.sched")]
+    assert main(argv) == EX_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dps}.prov: ") and message in err
+
+
 def test_cli_import_leaves_networkx_unloaded():
-    """Only a maximum matching needs networkx, so importing the CLI skips it."""
+    """The package imports only the standard library."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, polysched.cli; print('networkx' in sys.modules)"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# each command in a fresh interpreter, networkx importable or not; prints
+# [exit code, stdout] per command and whether networkx was loaded
+_BLOCKABLE_RUN = """
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["networkx"] = None  # any import of networkx now fails
+from polysched.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps([runs, sys.modules.get("networkx") is not None]))
+"""
+
+
+def test_commands_run_with_networkx_blocked(tmp_path):
+    ops = tmp_path / "dense.ops"
+    edges = [(a, b) for a in range(7) for b in range(a + 1, 7)][::2]
+    ops.write_text(f"ops 7 {len(edges)}\n"
+                   + "".join(f"{a} {b} {1 + (a * b) % 5}/{1 + a % 3}\n" for a, b in edges))
+    argvs = json.dumps([["bound", "--method", "best", "--certificate", str(ops)],
+                        ["schedule", "--algo", "layering", str(ops)],
+                        ["suite", "--count", "3"]])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    results = {}
+    for mode in ("block", "allow"):
+        proc = subprocess.run([sys.executable, "-c", _BLOCKABLE_RUN, mode, argvs],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results[mode] = json.loads(proc.stdout)
+    runs, loaded = results["block"]
+    assert [code for code, _ in runs] == [EX_OK] * 3 and all(out for _, out in runs)
+    assert results["allow"] == [runs, False]
 
 
 def test_suite_deterministic(capsys):

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
+import pytest
 from helpers import brute_force_dps_feasible, naive_successors, reference_optimal_heat
 
 from polysched import exact
@@ -30,7 +31,7 @@ from polysched.generators import (
     pinwheel_star,
     triangle_f2,
 )
-from polysched.matchings import enumerate_maximal_matchings
+from polysched.matchings import MATCHING_CAP, MatchingCapExceeded, enumerate_maximal_matchings
 from polysched.report import seeded_suite
 
 
@@ -310,6 +311,29 @@ class TestOptimalHeat:
         inst = OpsInstance(2, ((0, 1),), (Fraction(7),))
         result = ops_optimal_heat(inst)
         assert result.heat == 7
+
+    def test_enumerates_only_when_a_probe_searches(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_maximal_matchings(*args, **kwargs)
+
+        monkeypatch.setattr(exact, "enumerate_maximal_matchings", counting)
+        # 30 disjoint unit edges, above the enumeration cap: the load floor
+        # meets the round-robin ceiling at g_max, so nothing is probed
+        disjoint = OpsInstance(60, tuple((2 * i, 2 * i + 1) for i in range(30)), (1,) * 30)
+        result = ops_optimal_heat(disjoint)
+        assert (result.heat, result.probes, calls) == (1, {}, [])
+        # figure 1: the searches share one enumeration, and the predecessor
+        # probe the load check settles adds none
+        result = ops_optimal_heat(figure1())
+        assert result.rungs == (LOAD, SEARCH) and len(calls) == 1
+        # a path of MATCHING_CAP + 1 unit edges needs a search and still raises
+        path = OpsInstance(MATCHING_CAP + 2, tuple((i, i + 1) for i in range(MATCHING_CAP + 1)),
+                           (1,) * (MATCHING_CAP + 1))
+        with pytest.raises(MatchingCapExceeded):
+            ops_optimal_heat(path)
 
     def test_unit_triangle(self):
         inst = OpsInstance(3, ((0, 1), (0, 2), (1, 2)), (1, 1, 1))

@@ -468,6 +468,11 @@ class TestGadgetPredicatesRejectWrongModels:
         result = _judge(_or_scenarios(), model_case, predicate_case)
         assert not result.ok and message in result.detail
 
+    def test_out_range_rejects_an_output_pinned_blue(self):
+        result = _judge(_or_scenarios(), "inputs-RRR", "inputs-RRR",
+                        {"out": {"domain": class_phases(12, "B")}})
+        assert result.detail == "output must always admit green"
+
     @pytest.mark.parametrize("scenarios, model_case, predicate_case, message", [
         (_or2_scenarios, "inputs-GG", "inputs-BG", "blue output should be possible here"),
         (_or2_scenarios, "inputs-BB", "inputs-GG", "blue output must be impossible here"),
@@ -478,12 +483,29 @@ class TestGadgetPredicatesRejectWrongModels:
         result = _judge(scenarios(), model_case, predicate_case)
         assert result.detail == message
 
+    @pytest.mark.parametrize("scenarios", [_or2_scenarios, _and2_scenarios])
+    def test_out_ok_rejects_a_loose_output(self, scenarios):
+        # cut loose from the gate, the output takes every phase
+        result = _judge(scenarios(), "inputs-BB", "inputs-BB", {"out": {"a": "loose"}})
+        assert not result.ok and result.detail.startswith("out reached ")
+
+    def test_out_ok_rejects_an_output_pinned_blue(self):
+        result = _judge(_or2_scenarios(), "inputs-BB", "inputs-BB",
+                        {"out": {"domain": class_phases(12, "B")}})
+        assert result.detail == "output must always admit green"
+
     def test_swap_predicates_reject_crossed_outputs(self):
         # the Or2 output named as the And2 output and the other way round
         crossed = {"out_or": {"name": "out_and"}, "out_and": {"name": "out_or"}}
         result = _judge(_swap_scenarios(), "inputs-BG", "inputs-BG", crossed)
         assert result.detail == ("and-output blue without both inputs blue; "
                                  "comparator outcome (B,G) unreachable")
+
+    def test_outs_ok_rejects_a_red_output(self):
+        # the And2 output cut loose onto one red phase
+        result = _judge(_swap_scenarios(), "inputs-GG", "inputs-GG",
+                        {"out_and": {"a": "loose", "domain": (0,)}})
+        assert not result.ok and "outputs left blue/green: {'G'}, {'R'}" in result.detail
 
     def test_outs_ok_rejects_a_blue_or_output_from_green_inputs(self):
         result = _judge(_swap_scenarios(), "inputs-BG", "inputs-GG")

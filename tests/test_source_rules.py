@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import polysched
@@ -20,6 +21,24 @@ def test_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_imports_only_the_standard_library():
+    # the console script runs one command per process, so every import is
+    # paid on every command; relative imports stay inside the package
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(PACKAGE)}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"polysched"}]
     assert found == []
 
 
