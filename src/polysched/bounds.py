@@ -1,11 +1,14 @@
 """Instance-specific lower bounds on the optimal heat, with recomputable certificates.
 
 The strongest is the poly density: the exact optimum of the fractional
-relaxation, computed from the matching-indexed LP
+relaxation, the matching-indexed LP
 
     max l  s.t.  sum_M y_M <= 1,   (1/g_e) sum_{M owns e} y_M >= l,  y >= 0
 
 whose dual weights z_e certify  h* >= 1 / max_M sum_{e in M} z_e / g_e.
+Its value has a closed form by Edmonds' matching-polytope theorem
+(`poly_density_value`); the LP runs only when its dual weights are asked
+for (`certify=True`), and its value is then checked against the closed form.
 """
 
 from __future__ import annotations
@@ -13,8 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import OpsInstance
-from .matchings import MatchingCapExceeded, enumerate_maximal_matchings, maximum_matching_size
+from .core import OpsInstance, scaled_growth
+from .matchings import (
+    MatchingCapExceeded,
+    check_matching_cap,
+    enumerate_maximal_matchings,
+    maximum_matching_size,
+)
 from .simplex import solve_max
 
 
@@ -101,6 +109,79 @@ def dual_value(instance: OpsInstance, weights: DualWeights) -> Fraction:
     return 1 / worst
 
 
+def poly_density_value(instance: OpsInstance) -> Fraction:
+    """The poly density in closed form, with no LP.
+
+    The LP's optimum l* is the largest l with l*g in the matching polytope,
+    which Edmonds' theorem (J. Res. NBS 69B, 1965) describes by its person
+    and odd-set constraints; so the poly density 1/l* is the larger of the
+    largest person load (the bamboo value) and the largest
+    g(E[S]) / floor(|S|/2) over odd person sets S with |S| >= 3.
+
+    Only connected odd S of minimum internal degree >= 2 can exceed the
+    largest load, so the search grows connected sets inside the 2-core:
+    - a disconnected odd S is never better than its best odd part or the
+      largest load, by the mediant inequality, since an even part C has
+      g(E[C]) <= (|C|/2) * max load;
+    - if v in S has a single neighbour u in S, then
+      ratio(S) <= max(ratio(S - {u, v}), load(u)), since removing u and v
+      removes at most load(u) of growth and one from floor(|S|/2).
+    Sums are integers over the common growth denominator. Raises
+    MatchingCapExceeded beyond MATCHING_CAP edges, like the LP.
+    """
+    check_matching_cap(instance.m)
+    if instance.m == 0:
+        raise ValueError("instance has no edges")
+    denom, scaled = scaled_growth(instance)
+    n = instance.n
+    load = [0] * n
+    neighbours: list[dict[int, int]] = [{} for _ in range(n)]
+    for (a, b), g in zip(instance.edges, scaled):
+        load[a] += g
+        load[b] += g
+        neighbours[a][b] = g
+        neighbours[b][a] = g
+
+    # the 2-core: peel persons of degree <= 1 until none is left
+    degree = [len(nb) for nb in neighbours]
+    peeled = [False] * n
+    stack = [p for p in range(n) if degree[p] <= 1]  # each person enters once
+    while stack:
+        p = stack.pop()
+        peeled[p] = True
+        for q in neighbours[p]:
+            degree[q] -= 1
+            if degree[q] == 1:
+                stack.append(q)
+    core = [p for p in range(n) if not peeled[p]]
+    bit = {p: i for i, p in enumerate(core)}
+    # per core person: its core neighbours as a bitmask, and (bit, growth) pairs
+    mask = [sum(1 << bit[q] for q in neighbours[p] if q in bit) for p in core]
+    weighted = [[(bit[q], g) for q, g in neighbours[p].items() if q in bit] for p in core]
+
+    best_num, best_den = max(load), 1
+
+    def grow(members: int, size: int, weight: int, frontier: int, banned: int) -> None:
+        # every connected set holding `members` and no banned person, once each
+        nonlocal best_num, best_den
+        if size & 1 and size > 1 and weight * best_den > best_num * (size >> 1):
+            best_num, best_den = weight, size >> 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            banned |= low
+            v = low.bit_length() - 1
+            gain = sum(g for u, g in weighted[v] if members >> u & 1)
+            grow(members | low, size + 1, weight + gain,
+                 (frontier | mask[v]) & ~banned, banned)
+
+    for r in range(len(core)):
+        root = 1 << r
+        banned = (root << 1) - 1  # the root and every lower person
+        grow(root, 1, 0, mask[r] & ~banned, banned)
+    return Fraction(best_num, best_den * denom)
+
+
 @dataclass(frozen=True)
 class PolyDensityResult:
     value: Fraction  # 1/x*, the poly density
@@ -115,9 +196,11 @@ def poly_density(instance: OpsInstance) -> PolyDensityResult:
 
     Solves the primal LP with an exact rational simplex and reads the dual
     weights off the slack columns; strong duality (l* = x*) is checked
-    exactly, and the returned z recomputes the value through dual_value.
+    exactly, the returned z recomputes the value through dual_value, and
+    the value must equal poly_density_value, computed independently.
     Raises MatchingCapExceeded beyond MATCHING_CAP edges.
     """
+    closed_form = poly_density_value(instance)
     matchings = enumerate_maximal_matchings(instance.n, instance.edges)
     n_m = len(matchings)
     m = instance.m
@@ -151,37 +234,43 @@ def poly_density(instance: OpsInstance) -> PolyDensityResult:
     value = 1 / x_star
     if dual_value(instance, weights) < value:
         raise RuntimeError(f"dual value of the weights is below the poly density {value}")
+    if value != closed_form:
+        raise RuntimeError(f"LP value {value} differs from the closed form {closed_form}")
     primal = tuple(
         (mm, sol.x[1 + i]) for i, mm in enumerate(matchings) if sol.x[1 + i] != 0
     )
     return PolyDensityResult(value, weights, x_star, primal, ell)
 
 
-def poly_density_bound(instance: OpsInstance) -> BoundReport:
+def poly_density_bound(instance: OpsInstance, certify: bool = True) -> BoundReport:
+    """The poly density; with certify, also its LP dual weights as certificate."""
+    if not certify:
+        return BoundReport("polydensity", poly_density_value(instance), None)
     result = poly_density(instance)
     return BoundReport("polydensity", result.value, result.dual)
 
 
-def best_bound(instance: OpsInstance) -> BoundReport:
+def best_bound(instance: OpsInstance, certify: bool = True) -> BoundReport:
     """Max of trivial, bamboo, total-growth and poly density; poly density is
-    left out beyond MATCHING_CAP edges."""
+    left out beyond MATCHING_CAP edges, and certified only with certify."""
     reports = [trivial_bound(instance), bamboo_bound(instance),
                total_growth_bound(instance)]
     try:
-        reports.append(poly_density_bound(instance))
+        reports.append(poly_density_bound(instance, certify))
     except MatchingCapExceeded:
         pass
     return max(reports, key=lambda r: (r.value, r.method))
 
 
 # `--method` name -> bound of an instance; each entry looks its function up
-# when called, so a function replaced on this module is the one that runs
+# when called, so a function replaced on this module is the one that runs.
+# `certify=False` skips the poly-density LP, which only its certificate needs
 METHODS = {
-    "trivial": lambda instance: trivial_bound(instance),
-    "bamboo": lambda instance: bamboo_bound(instance),
-    "mass": lambda instance: total_growth_bound(instance),
-    "polydensity": lambda instance: poly_density_bound(instance),
-    "best": lambda instance: best_bound(instance),
+    "trivial": lambda instance, certify=True: trivial_bound(instance),
+    "bamboo": lambda instance, certify=True: bamboo_bound(instance),
+    "mass": lambda instance, certify=True: total_growth_bound(instance),
+    "polydensity": lambda instance, certify=True: poly_density_bound(instance, certify),
+    "best": lambda instance, certify=True: best_bound(instance, certify),
 }
 
 
@@ -203,6 +292,8 @@ def verify_certificate(instance: OpsInstance, report: BoundReport) -> bool:
     if report.method == "mass":
         return report.value == total_growth_bound(instance).value
     if report.method == "polydensity":
+        if report.certificate is None:
+            return report.value == poly_density_value(instance)
         return dual_value(instance, report.certificate) == report.value
     if report.method.startswith("subset+"):
         subset, inner_cert = report.certificate

@@ -39,6 +39,7 @@ from .matchings import MATCHING_CAP
 from .report import format_table, run_one, run_suite, seeded_suite
 from .satred import (
     CnfFormula,
+    DeferredArtifact,
     SynthesisRefused,
     compile_formula,
     extract_assignment,
@@ -192,7 +193,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bound(args) -> int:
     instance = _load_ops(args.instance)
-    report = bounds_mod.METHODS[args.method](instance)
+    report = bounds_mod.METHODS[args.method](instance, certify=args.certificate)
     print(f"{report.method} {format_rational(report.value)}")
     if args.certificate and report.certificate is not None:
         if report.method == "bamboo":
@@ -205,7 +206,7 @@ def cmd_bound(args) -> int:
     return EX_OK
 
 
-def _artifact_from_sidecar(path: str):
+def _formula_from_sidecar(path: str) -> CnfFormula:
     lines = _read(path).splitlines()
     header = [ln for ln in lines if ln.startswith("# cnf ")]
     if not header:
@@ -219,7 +220,11 @@ def _artifact_from_sidecar(path: str):
         raise CliError(f"{path}: {exc}", EX_PARSE) from exc
     if len(clauses) != m:
         raise CliError(f"{path}: clause count mismatch", EX_PARSE)
-    return compile_formula(formula)
+    return formula
+
+
+def _artifact_from_sidecar(path: str):
+    return compile_formula(_formula_from_sidecar(path))
 
 
 def cmd_reduce_sat(args) -> int:
@@ -239,17 +244,19 @@ def cmd_reduce_sat(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    artifact = _artifact_from_sidecar(args.artifact + ".prov")
+    formula = _formula_from_sidecar(args.artifact + ".prov")
     bits = args.assign.strip()
-    if len(bits) != artifact.formula.num_vars or set(bits) - {"0", "1"}:
+    if len(bits) != formula.num_vars or set(bits) - {"0", "1"}:
         raise CliError("--assign must be a 0/1 string, one bit per variable", EX_USAGE)
     assignment = tuple(c == "1" for c in bits)
+    # refusal reads only the formula, so a refused assignment compiles nothing
+    deferred = DeferredArtifact(formula)
     try:
-        schedule = synthesize_schedule(artifact, assignment)
+        schedule = synthesize_schedule(deferred, assignment)
     except SynthesisRefused as exc:
         print(f"refused: {exc}")
         return EX_INFEASIBLE
-    _write(args.output, emit_schedule(artifact.dps, schedule))
+    _write(args.output, emit_schedule(deferred.artifact.dps, schedule))
     return EX_OK
 
 

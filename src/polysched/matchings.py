@@ -21,6 +21,12 @@ class MatchingCapExceeded(ValueError):
     """Raised when enumeration is requested beyond the edge cap."""
 
 
+def check_matching_cap(m: int, cap: int = MATCHING_CAP) -> None:
+    """Raise MatchingCapExceeded when m edges exceed the cap."""
+    if m > cap:
+        raise MatchingCapExceeded(f"{m} edges exceeds the enumeration cap {cap}")
+
+
 def enumerate_maximal_matchings(
     n: int,
     edges: tuple[tuple[int, int], ...],
@@ -33,8 +39,7 @@ def enumerate_maximal_matchings(
     on more than `cap` edges.
     """
     m = len(edges)
-    if m > cap:
-        raise MatchingCapExceeded(f"{m} edges exceeds the enumeration cap {cap}")
+    check_matching_cap(m, cap)
     if m == 0:
         return [frozenset()]
 
@@ -85,6 +90,8 @@ def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
     is contracted by pointing its persons' `base` at the cycle's lowest
     common ancestor in the search tree. A person with no augmenting path
     keeps none after later augmentations, so one search per person suffices.
+    The search arrays are allocated once; each search lists the persons it
+    reaches, contracts among them only, and resets only them.
     """
     adj: list[list[int]] = [[] for _ in range(n)]
     mate = [-1] * n
@@ -96,36 +103,38 @@ def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
             mate[a], mate[b] = b, a
             size += 1
 
-    def augment(root: int) -> bool:
-        # the person before an odd person on its alternating path to root;
-        # set on even persons too once a blossom holds them
-        parent = [-1] * n
-        base = list(range(n))
-        even = [False] * n  # in the tree at an even distance from root
+    # the person before an odd person on its alternating path to root; set
+    # on even persons too once a blossom holds them
+    parent = [-1] * n
+    base = list(range(n))
+    even = [False] * n  # in the tree at an even distance from root
+
+    def lca(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while base[b] not in seen:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, top: int, child: int, blossom: set[int]) -> None:
+        # walk from v up to the blossom's base, pointing odd persons back
+        # across the cycle so a path through the blossom exists
+        while base[v] != top:
+            blossom.add(base[v])
+            blossom.add(base[mate[v]])
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def augment(root: int, tree: list[int]) -> bool:
+        # `tree` collects every person the search reaches
         even[root] = True
         queue = deque([root])
-
-        def lca(a: int, b: int) -> int:
-            seen = [False] * n
-            while True:
-                a = base[a]
-                seen[a] = True
-                if mate[a] < 0:
-                    break
-                a = parent[mate[a]]
-            while not seen[base[b]]:
-                b = parent[mate[base[b]]]
-            return base[b]
-
-        def mark(v: int, top: int, child: int, blossom: list[bool]) -> None:
-            # walk from v up to the blossom's base, pointing odd persons
-            # back across the cycle so a path through the blossom exists
-            while base[v] != top:
-                blossom[base[v]] = blossom[base[mate[v]]] = True
-                parent[v] = child
-                child = mate[v]
-                v = parent[mate[v]]
-
         while queue:
             v = queue.popleft()
             for w in adj[v]:
@@ -134,17 +143,18 @@ def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
                 if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
                     # w is even too: the edge closes an odd cycle, contract it
                     top = lca(v, w)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     mark(v, top, w, blossom)
                     mark(w, top, v, blossom)
-                    for u in range(n):
-                        if blossom[base[u]]:
+                    for u in tree:
+                        if base[u] in blossom:
                             base[u] = top
                             if not even[u]:
                                 even[u] = True
                                 queue.append(u)
                 elif parent[w] < 0:
                     parent[w] = v
+                    tree.append(w)
                     if mate[w] < 0:  # exposed: flip the path back to root
                         while w >= 0:
                             v = parent[w]
@@ -153,10 +163,17 @@ def maximum_matching_size(n: int, edges: tuple[tuple[int, int], ...]) -> int:
                             w = nxt
                         return True
                     even[mate[w]] = True
+                    tree.append(mate[w])
                     queue.append(mate[w])
         return False
 
     for root in range(n):
-        if mate[root] < 0 and adj[root] and augment(root):
-            size += 1
+        if mate[root] < 0 and adj[root]:
+            tree = [root]
+            if augment(root, tree):
+                size += 1
+            for u in tree:
+                parent[u] = -1
+                base[u] = u
+                even[u] = False
     return size

@@ -7,6 +7,7 @@ from .build import CompileError, ReductionArtifact, compile_formula
 from .cnf import CnfFormula, emit_dimacs, demo_formula, max3sat_oracle, parse_dimacs
 from .gadgetcheck import GADGET_KINDS, GadgetVerdict, check_all_gadgets, gadget_local_check
 from .synth import (
+    DeferredArtifact,
     ExtractionError,
     SynthesisError,
     SynthesisRefused,
@@ -27,6 +28,7 @@ def gap_instance(formula: CnfFormula) -> OpsInstance:
 __all__ = [
     "CnfFormula",
     "CompileError",
+    "DeferredArtifact",
     "ExtractionError",
     "GADGET_KINDS",
     "GadgetVerdict",

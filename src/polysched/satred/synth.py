@@ -11,10 +11,13 @@ solves in construction order.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 
 from ..core import PeriodicSchedule, verify_dps
-from .build import GadgetRec, ReductionArtifact, channel_phase
+from .build import GadgetRec, ReductionArtifact, channel_phase, compile_formula
+from .cnf import CnfFormula
 from .tiling import PERIOD, SLOT, class_phases, occ_mask, solve_first
 
 
@@ -26,8 +29,19 @@ class SynthesisError(RuntimeError):
     """Internal failure: a gadget admitted no consistent local schedule."""
 
 
-def _check_assignment(artifact: ReductionArtifact, assignment) -> list[int]:
-    formula = artifact.formula
+@dataclass
+class DeferredArtifact:
+    """A formula whose reduction compiles on first use of `artifact`."""
+
+    formula: CnfFormula
+
+    @functools.cached_property
+    def artifact(self) -> ReductionArtifact:
+        return compile_formula(self.formula)
+
+
+def _check_assignment(formula: CnfFormula, assignment) -> list[int]:
+    """Indices of the clauses the assignment satisfies; refuses below k."""
     if len(assignment) != formula.num_vars:
         raise ValueError("assignment length must equal the variable count")
     satisfied = [
@@ -48,7 +62,7 @@ def simulate_channels(artifact: ReductionArtifact, assignment) -> dict[int, str]
     as boolean or/and on blue, so blues bubble to the left channels.
     """
     formula = artifact.formula
-    satisfied = _check_assignment(artifact, assignment)
+    satisfied = _check_assignment(formula, assignment)
     chosen = set(satisfied[: formula.k])
     colors: dict[int, str] = {}
     channel_state: list[tuple[GadgetRec, str, str]] = []
@@ -77,8 +91,16 @@ def simulate_channels(artifact: ReductionArtifact, assignment) -> dict[int, str]
     return colors
 
 
-def synthesize_schedule(artifact: ReductionArtifact, assignment) -> PeriodicSchedule:
-    """Valid period-36 schedule; refuses if fewer than k clauses are satisfied."""
+def synthesize_schedule(artifact: ReductionArtifact | DeferredArtifact,
+                        assignment) -> PeriodicSchedule:
+    """Valid period-36 schedule; refuses if fewer than k clauses are satisfied.
+
+    Refusal reads only the formula, so a DeferredArtifact is compiled only
+    for an assignment that passes it.
+    """
+    if isinstance(artifact, DeferredArtifact):
+        _check_assignment(artifact.formula, assignment)
+        artifact = artifact.artifact
     channel_colors = simulate_channels(artifact, assignment)
     dps = artifact.dps
     phases: dict[int, int] = {}

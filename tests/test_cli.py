@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from polysched import cli
+from polysched.satred import synth
 from polysched.bounds import METHODS
 from polysched.cli import (
     EX_INCONCLUSIVE,
@@ -163,6 +165,25 @@ def test_reduction_pipeline(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "01"
     # x1=True satisfies only the first clause
     assert main(["synth", "--artifact", str(dps), "--assign", "10"]) == EX_INFEASIBLE
+
+
+def test_refused_synth_compiles_nothing(tmp_path, capsys, monkeypatch):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    dps = tmp_path / "f.dps"
+    assert main(["reduce-sat", "--cnf", str(cnf), "-k", "2", "-o", str(dps)]) == EX_OK
+    capsys.readouterr()
+
+    def no_compile(formula):
+        raise RuntimeError("a refused assignment must not compile the reduction")
+
+    monkeypatch.setattr(cli, "compile_formula", no_compile)
+    monkeypatch.setattr(synth, "compile_formula", no_compile)
+    assert main(["synth", "--artifact", str(dps), "--assign", "10"]) == EX_INFEASIBLE
+    assert capsys.readouterr().out == "refused: assignment satisfies 1 < k=2 clauses\n"
+    assert main(["synth", "--artifact", str(dps), "--assign", "1"]) == EX_USAGE
+    assert capsys.readouterr().err == \
+        "error: --assign must be a 0/1 string, one bit per variable\n"
 
 
 @pytest.mark.parametrize("sidecar, message", [
