@@ -5,10 +5,11 @@ relaxation, the matching-indexed LP
 
     max l  s.t.  sum_M y_M <= 1,   (1/g_e) sum_{M owns e} y_M >= l,  y >= 0
 
-whose dual weights z_e certify  h* >= 1 / max_M sum_{e in M} z_e / g_e.
+whose dual weights z_e prove  h* >= 1 / max_M sum_{e in M} z_e / g_e.
 Its value has a closed form by Edmonds' matching-polytope theorem
-(`poly_density_value`); the LP runs only when its dual weights are asked
-for (`certify=True`), and its value is then checked against the closed form.
+(`poly_density_value`), and every bound method reports only values. The LP
+(`poly_density`) runs only for its dual weights, the certificate that
+`bound --certificate` prints, and its value is checked against the closed form.
 """
 
 from __future__ import annotations
@@ -53,19 +54,31 @@ def trivial_bound(instance: OpsInstance) -> BoundReport:
     return BoundReport("trivial", value, None)
 
 
+def _loads(instance: OpsInstance) -> tuple[int, list[int], list[int]]:
+    """The common growth denominator L, every g(e) * L, and each person's
+    load (its incident growth sum) times L, all integers."""
+    if instance.m == 0:
+        raise ValueError("instance has no edges")
+    denom, scaled = scaled_growth(instance)
+    load = [0] * instance.n
+    for (a, b), g in zip(instance.edges, scaled):
+        load[a] += g
+        load[b] += g
+    return denom, scaled, load
+
+
+def _restrict(instance: OpsInstance, subset) -> OpsInstance:
+    """The sub-instance of the edges indexed by `subset`, on the same persons."""
+    return OpsInstance(instance.n,
+                       tuple(instance.edges[e] for e in subset),
+                       tuple(instance.growth[e] for e in subset))
+
+
 def bamboo_bound(instance: OpsInstance) -> BoundReport:
-    """Largest per-person incident growth sum; that person is the certificate."""
-    best_p = None
-    best = Fraction(0)
-    incident = [Fraction(0)] * instance.n
-    for (a, b), g in zip(instance.edges, instance.growth):
-        incident[a] += g
-        incident[b] += g
-    for p, total in enumerate(incident):
-        if total > best:
-            best = total
-            best_p = p
-    return BoundReport("bamboo", best, best_p)
+    """Largest per-person load; the first person carrying it is the certificate."""
+    denom, _, load = _loads(instance)
+    top = max(load)
+    return BoundReport("bamboo", Fraction(top, denom), load.index(top))
 
 
 def total_growth_bound(instance: OpsInstance) -> BoundReport:
@@ -84,12 +97,7 @@ def subset_bound(instance: OpsInstance, subset, inner) -> BoundReport:
     subset = sorted(set(subset))
     if any(not 0 <= e < instance.m for e in subset):
         raise ValueError("subset contains invalid edge indices")
-    sub = OpsInstance(
-        instance.n,
-        tuple(instance.edges[e] for e in subset),
-        tuple(instance.growth[e] for e in subset),
-    )
-    report = inner(sub)
+    report = inner(_restrict(instance, subset))
     return BoundReport(f"subset+{report.method}", report.value,
                        (tuple(subset), report.certificate))
 
@@ -130,15 +138,10 @@ def poly_density_value(instance: OpsInstance) -> Fraction:
     MatchingCapExceeded beyond MATCHING_CAP edges, like the LP.
     """
     check_matching_cap(instance.m)
-    if instance.m == 0:
-        raise ValueError("instance has no edges")
-    denom, scaled = scaled_growth(instance)
+    denom, scaled, load = _loads(instance)
     n = instance.n
-    load = [0] * n
     neighbours: list[dict[int, int]] = [{} for _ in range(n)]
     for (a, b), g in zip(instance.edges, scaled):
-        load[a] += g
-        load[b] += g
         neighbours[a][b] = g
         neighbours[b][a] = g
 
@@ -242,21 +245,18 @@ def poly_density(instance: OpsInstance) -> PolyDensityResult:
     return PolyDensityResult(value, weights, x_star, primal, ell)
 
 
-def poly_density_bound(instance: OpsInstance, certify: bool = True) -> BoundReport:
-    """The poly density; with certify, also its LP dual weights as certificate."""
-    if not certify:
-        return BoundReport("polydensity", poly_density_value(instance), None)
-    result = poly_density(instance)
-    return BoundReport("polydensity", result.value, result.dual)
+def poly_density_bound(instance: OpsInstance) -> BoundReport:
+    """The poly density in closed form; `poly_density` gives its LP dual weights."""
+    return BoundReport("polydensity", poly_density_value(instance), None)
 
 
-def best_bound(instance: OpsInstance, certify: bool = True) -> BoundReport:
+def best_bound(instance: OpsInstance) -> BoundReport:
     """Max of trivial, bamboo, total-growth and poly density; poly density is
-    left out beyond MATCHING_CAP edges, and certified only with certify."""
+    left out beyond MATCHING_CAP edges."""
     reports = [trivial_bound(instance), bamboo_bound(instance),
                total_growth_bound(instance)]
     try:
-        reports.append(poly_density_bound(instance, certify))
+        reports.append(poly_density_bound(instance))
     except MatchingCapExceeded:
         pass
     return max(reports, key=lambda r: (r.value, r.method))
@@ -264,13 +264,13 @@ def best_bound(instance: OpsInstance, certify: bool = True) -> BoundReport:
 
 # `--method` name -> bound of an instance; each entry looks its function up
 # when called, so a function replaced on this module is the one that runs.
-# `certify=False` skips the poly-density LP, which only its certificate needs
+# every entry reports a value and solves no LP; `poly_density` alone does
 METHODS = {
-    "trivial": lambda instance, certify=True: trivial_bound(instance),
-    "bamboo": lambda instance, certify=True: bamboo_bound(instance),
-    "mass": lambda instance, certify=True: total_growth_bound(instance),
-    "polydensity": lambda instance, certify=True: poly_density_bound(instance, certify),
-    "best": lambda instance, certify=True: best_bound(instance, certify),
+    "trivial": lambda instance: trivial_bound(instance),
+    "bamboo": lambda instance: bamboo_bound(instance),
+    "mass": lambda instance: total_growth_bound(instance),
+    "polydensity": lambda instance: poly_density_bound(instance),
+    "best": lambda instance: best_bound(instance),
 }
 
 
@@ -297,10 +297,7 @@ def verify_certificate(instance: OpsInstance, report: BoundReport) -> bool:
         return dual_value(instance, report.certificate) == report.value
     if report.method.startswith("subset+"):
         subset, inner_cert = report.certificate
-        sub = OpsInstance(instance.n,
-                          tuple(instance.edges[e] for e in subset),
-                          tuple(instance.growth[e] for e in subset))
         inner_method = report.method.split("+", 1)[1]
         inner_report = BoundReport(inner_method, report.value, inner_cert)
-        return verify_certificate(sub, inner_report)
+        return verify_certificate(_restrict(instance, subset), inner_report)
     return False

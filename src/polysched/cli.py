@@ -193,16 +193,15 @@ def cmd_solve(args) -> int:
 
 def cmd_bound(args) -> int:
     instance = _load_ops(args.instance)
-    report = bounds_mod.METHODS[args.method](instance, certify=args.certificate)
+    report = bounds_mod.METHODS[args.method](instance)
     print(f"{report.method} {format_rational(report.value)}")
-    if args.certificate and report.certificate is not None:
+    if args.certificate:
         if report.method == "bamboo":
             print(f"certificate person {report.certificate}")
         elif report.method == "polydensity":
-            weights = " ".join(format_rational(z) for z in report.certificate.z)
-            print(f"certificate z {weights}")
-        else:
-            print(f"certificate {report.certificate}")
+            # the one caller of the LP: only its dual weights need it
+            dual = bounds_mod.poly_density(instance).dual
+            print(f"certificate z {' '.join(format_rational(z) for z in dual.z)}")
     return EX_OK
 
 
@@ -221,10 +220,6 @@ def _formula_from_sidecar(path: str) -> CnfFormula:
     if len(clauses) != m:
         raise CliError(f"{path}: clause count mismatch", EX_PARSE)
     return formula
-
-
-def _artifact_from_sidecar(path: str):
-    return compile_formula(_formula_from_sidecar(path))
 
 
 def cmd_reduce_sat(args) -> int:
@@ -261,7 +256,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    artifact = _artifact_from_sidecar(args.artifact + ".prov")
+    artifact = compile_formula(_formula_from_sidecar(args.artifact + ".prov"))
     schedule = _load_schedule(artifact.dps, args.schedule)
     values = extract_assignment(artifact, schedule)
     print("".join("1" if v else "0" for v in values))

@@ -108,11 +108,16 @@ class OpsInstance(_Instance):
 
     @property
     def g_min(self) -> Fraction:
-        return min(self.growth)
+        return min(self._rates())
 
     @property
     def g_max(self) -> Fraction:
-        return max(self.growth)
+        return max(self._rates())
+
+    def _rates(self) -> tuple[Fraction, ...]:
+        if not self.growth:
+            raise ValueError("instance has no edges")
+        return self.growth
 
     @property
     def total_growth(self) -> Fraction:

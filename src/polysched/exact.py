@@ -258,7 +258,7 @@ def _scaled_candidates(instance: OpsInstance) -> tuple[int, list[int], list[int]
     """The common denominator L of the growth rates, every g(e)*L, and every
     candidate heat times L, ascending (see `heat_candidates`)."""
     denom, scaled = scaled_growth(instance)
-    lo = max(scaled)
+    lo = int(instance.g_max * denom)  # g_max refuses an edgeless instance
     hi = (instance.max_degree + 1) * lo
     cands: set[int] = set()
     for step in set(scaled):

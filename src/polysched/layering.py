@@ -25,8 +25,6 @@ class LayerDecomposition:
 
 def decompose(instance: OpsInstance, level_count: int) -> LayerDecomposition:
     """Exact partition of the edges into the L+1 geometric bands."""
-    if instance.m == 0:
-        raise ValueError("instance must have at least one edge")
     if level_count < 0:
         raise ValueError("L must be >= 0")
     g_max = instance.g_max
@@ -60,10 +58,7 @@ def build_layered_schedule(instance: OpsInstance, level_count: int) -> LayeredRe
             band_days.append((frozenset(),))
             continue
         colors = color_edges(instance.n, tuple(instance.edges[e] for e in band))
-        classes: list[set[int]] = [set() for _ in range(colors.n_colors)]
-        for local, c in enumerate(colors.colors):
-            classes[c].add(band[local])
-        band_days.append(tuple(frozenset(cls) for cls in classes))
+        band_days.append(tuple(frozenset(band[e] for e in cls) for cls in colors.classes()))
 
     k = len(bands)
     period = k * math.lcm(*(len(days) for days in band_days))

@@ -73,8 +73,7 @@ def run_one(name: str, instance: OpsInstance, algorithm: str,
         verdict = f"L={layered.chosen_level}"
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    # only the value is printed, so the poly density needs no LP certificate
-    report = bounds_mod.METHODS[bound_method](instance, certify=False)
+    report = bounds_mod.METHODS[bound_method](instance)
     ratio = None
     if achieved is not None and report.value > 0:
         ratio = achieved / report.value

@@ -38,15 +38,16 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
-    def count_satisfied(self, assignment) -> int:
-        """Clauses satisfied by assignment[i] = truth value of x_{i+1}."""
+    def satisfied_clauses(self, assignment) -> list[int]:
+        """Indices of the clauses satisfied by assignment[i] = truth value of x_{i+1}."""
         if len(assignment) != self.num_vars:
             raise ValueError("assignment length must equal the variable count")
-        total = 0
-        for c in self.clauses:
-            if any(assignment[abs(lit) - 1] == (lit > 0) for lit in c):
-                total += 1
-        return total
+        return [j for j, c in enumerate(self.clauses)
+                if any(assignment[abs(lit) - 1] == (lit > 0) for lit in c)]
+
+    def count_satisfied(self, assignment) -> int:
+        """How many clauses the assignment satisfies."""
+        return len(self.satisfied_clauses(assignment))
 
 
 def max3sat_oracle(formula: CnfFormula) -> int:

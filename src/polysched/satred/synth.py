@@ -42,12 +42,7 @@ class DeferredArtifact:
 
 def _check_assignment(formula: CnfFormula, assignment) -> list[int]:
     """Indices of the clauses the assignment satisfies; refuses below k."""
-    if len(assignment) != formula.num_vars:
-        raise ValueError("assignment length must equal the variable count")
-    satisfied = [
-        j for j, clause in enumerate(formula.clauses)
-        if any(assignment[abs(lit) - 1] == (lit > 0) for lit in clause)
-    ]
+    satisfied = formula.satisfied_clauses(assignment)
     if len(satisfied) < formula.k:
         raise SynthesisRefused(
             f"assignment satisfies {len(satisfied)} < k={formula.k} clauses"

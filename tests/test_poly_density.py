@@ -10,10 +10,13 @@ import pytest
 
 from polysched import bounds
 from polysched.bounds import (
+    bamboo_bound,
     best_bound,
     poly_density,
     poly_density_bound,
     poly_density_value,
+    total_growth_bound,
+    trivial_bound,
     verify_certificate,
 )
 from polysched.cli import EX_OK, EX_USAGE, main
@@ -138,11 +141,12 @@ def test_uncertified_report_carries_the_value_and_no_certificate():
     rng = random.Random(3)
     for _ in range(20):
         inst = dense_instance(rng)
-        report = poly_density_bound(inst, certify=False)
+        report = poly_density_bound(inst)
         assert report.certificate is None
-        assert report.value == poly_density_bound(inst).value
+        assert report.value == poly_density_value(inst) == poly_density(inst).value
         assert verify_certificate(inst, report)
-        assert best_bound(inst, certify=False).value == best_bound(inst).value
+        others = (trivial_bound, bamboo_bound, total_growth_bound)
+        assert best_bound(inst).value == max(report.value, *(fn(inst).value for fn in others))
     forged = bounds.BoundReport("polydensity", report.value + 1, None)
     assert not verify_certificate(inst, forged)
 
@@ -185,9 +189,23 @@ def test_value_only_commands_run_no_lp(tmp_path, capsys, lp_calls):
     assert printed[0] == value_only and printed[1].startswith("certificate z ")
 
 
-@pytest.mark.parametrize("certificate", [[], ["--certificate"]])
-def test_edgeless_instance_is_a_usage_error(tmp_path, capsys, certificate):
+# test id -> command run on an instance of persons and no edges
+EDGELESS_COMMANDS = {
+    "bound-polydensity": ["bound", "--method", "polydensity"],
+    "bound-polydensity-certificate": ["bound", "--method", "polydensity", "--certificate"],
+    "bound-trivial": ["bound", "--method", "trivial"],
+    "bound-best": ["bound", "--method", "best"],
+    "bound-bamboo": ["bound", "--method", "bamboo"],
+    "schedule-coloring": ["schedule", "--algo", "coloring"],
+    "schedule-layering": ["schedule", "--algo", "layering"],
+    "solve": ["solve"],
+}
+
+
+@pytest.mark.parametrize("command", list(EDGELESS_COMMANDS))
+def test_edgeless_instance_is_a_usage_error(tmp_path, capsys, command):
     ops = tmp_path / "edgeless.ops"
     ops.write_text("ops 3 0\n")
-    assert main(["bound", "--method", "polydensity", *certificate, str(ops)]) == EX_USAGE
-    assert capsys.readouterr().err == "error: instance has no edges\n"
+    assert main([*EDGELESS_COMMANDS[command], str(ops)]) == EX_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: instance has no edges\n")
