@@ -10,10 +10,14 @@ Its value has a closed form by Edmonds' matching-polytope theorem
 (`poly_density_value`), and every bound method reports only values. The LP
 (`poly_density`) runs only for its dual weights, the certificate that
 `bound --certificate` prints, and its value is checked against the closed form.
+It enumerates the maximal matchings once: the LP's columns, its
+dual-feasibility check and its `dual_value` re-check share that one list,
+and both checks compare integers over the common denominator of the z_e/g_e.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,19 +106,29 @@ def subset_bound(instance: OpsInstance, subset, inner) -> BoundReport:
                        (tuple(subset), report.certificate))
 
 
-def dual_value(instance: OpsInstance, weights: DualWeights) -> Fraction:
+def _matching_sums(instance: OpsInstance, z, matchings) -> tuple[list[int], int]:
+    """sum_{e in M} z_e / g_e for every matching M, as integers over the common
+    denominator D of the z_e / g_e; returns the sums and D."""
+    ratios = [z[e] / g for e, g in enumerate(instance.growth)]
+    denom = math.lcm(*(q.denominator for q in ratios))
+    scaled = [q.numerator * (denom // q.denominator) for q in ratios]
+    return [sum(map(scaled.__getitem__, mm)) for mm in matchings], denom
+
+
+def dual_value(instance: OpsInstance, weights: DualWeights, *, _matchings=None) -> Fraction:
     """1 / max over maximal matchings of sum z_e / g_e: a certified lower bound.
 
-    Raises MatchingCapExceeded beyond MATCHING_CAP edges.
+    `_matchings` is the instance's maximal matchings when the caller has
+    already enumerated them. Raises MatchingCapExceeded beyond MATCHING_CAP
+    edges.
     """
-    matchings = enumerate_maximal_matchings(instance.n, instance.edges)
-    worst = max(
-        sum((weights.z[e] / instance.growth[e] for e in mm), Fraction(0))
-        for mm in matchings
-    )
+    if _matchings is None:
+        _matchings = enumerate_maximal_matchings(instance.n, instance.edges)
+    sums, denom = _matching_sums(instance, weights.z, _matchings)
+    worst = max(sums)
     if worst == 0:
         raise ValueError("degenerate weights: every matching misses the support")
-    return 1 / worst
+    return Fraction(denom, worst)
 
 
 def poly_density_value(instance: OpsInstance) -> Fraction:
@@ -207,15 +221,14 @@ def poly_density(instance: OpsInstance) -> PolyDensityResult:
     matchings = enumerate_maximal_matchings(instance.n, instance.edges)
     n_m = len(matchings)
     m = instance.m
-    # variables: l, y_1..y_K
-    c = [Fraction(1)] + [Fraction(0)] * n_m
-    rows = [[Fraction(0)] + [Fraction(1)] * n_m]  # sum y <= 1
-    b = [Fraction(1)]
-    zero = Fraction(0)
-    for e, g in enumerate(instance.growth):
-        coef = -1 / g
-        rows.append([Fraction(1)] + [coef if e in mm else zero for mm in matchings])
-        b.append(zero)
+    # variables: l, y_1..y_K; rows: sum y <= 1, then l - sum_{M owns e} y_M / g_e <= 0
+    c = [1] + [0] * n_m
+    rows = [[0] + [1] * n_m] + [[1] + [0] * n_m for _ in range(m)]
+    b = [1] + [0] * m
+    coef = [-1 / g for g in instance.growth]
+    for k, mm in enumerate(matchings, start=1):
+        for e in mm:
+            rows[1 + e][k] = coef[e]
     sol = solve_max(c, rows, b)
 
     ell = sol.objective
@@ -230,12 +243,13 @@ def poly_density(instance: OpsInstance) -> PolyDensityResult:
     if sum(z, Fraction(0)) != 1:
         raise RuntimeError(f"dual weights do not sum to 1: {z}")
     weights = DualWeights(z)
-    # dual feasibility, exactly
-    for mm in matchings:
-        if sum((z[e] / instance.growth[e] for e in mm), Fraction(0)) > x_star:
+    # dual feasibility, exactly: sum / D <= x* in integers
+    sums, denom = _matching_sums(instance, z, matchings)
+    for mm, total in zip(matchings, sums):
+        if total * x_star.denominator > x_star.numerator * denom:
             raise RuntimeError(f"dual constraint of matching {sorted(mm)} exceeds {x_star}")
     value = 1 / x_star
-    if dual_value(instance, weights) < value:
+    if dual_value(instance, weights, _matchings=matchings) < value:
         raise RuntimeError(f"dual value of the weights is below the poly density {value}")
     if value != closed_form:
         raise RuntimeError(f"LP value {value} differs from the closed form {closed_form}")

@@ -206,7 +206,14 @@ def cmd_bound(args) -> int:
 
 
 def _formula_from_sidecar(path: str) -> CnfFormula:
-    lines = _read(path).splitlines()
+    """The formula of a `reduce-sat` sidecar, read from its leading `#` lines
+    (`# cnf n m k`, then one `# clause ...` per clause); the provenance lines
+    after them are not read."""
+    text = _read(path)
+    end = 0  # end of the leading '#' lines
+    while text.startswith("#", end):
+        end = text.find("\n", end) + 1 or len(text)
+    lines = text[:end].splitlines()
     header = [ln for ln in lines if ln.startswith("# cnf ")]
     if not header:
         raise CliError(f"{path}: missing '# cnf' header", EX_PARSE)

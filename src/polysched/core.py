@@ -100,7 +100,10 @@ class OpsInstance(_Instance):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "growth", tuple(as_rational(g) for g in self.growth))
+        growth = tuple(self.growth)
+        if not set(map(type, growth)) <= {Fraction}:
+            growth = tuple(map(as_rational, growth))
+        object.__setattr__(self, "growth", growth)
         if len(self.growth) != len(self.edges):
             raise ValueError("need exactly one growth rate per edge")
         if any(g <= 0 for g in self.growth):
@@ -135,8 +138,11 @@ class DpsInstance(_Instance):
         object.__setattr__(self, "freq", tuple(self.freq))
         if len(self.freq) != len(self.edges):
             raise ValueError("need exactly one frequency per edge")
-        if any((not isinstance(f, int)) or isinstance(f, bool) or f < 1 for f in self.freq):
-            raise ValueError("frequencies must be integers >= 1")
+        # checked in bulk; the exact rule, which also accepts subclasses of
+        # int, runs only when the bulk check fails
+        if self.freq and (not set(map(type, self.freq)) <= {int} or min(self.freq) < 1):
+            if any((not isinstance(f, int)) or isinstance(f, bool) or f < 1 for f in self.freq):
+                raise ValueError("frequencies must be integers >= 1")
 
     @property
     def max_freq(self) -> int:

@@ -9,6 +9,7 @@ tokens (an empty line is an empty day). Emission is canonical (rationals as
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import eq
 
 from .core import DpsInstance, OpsInstance, PeriodicSchedule, as_rational, normalize_edge
 
@@ -47,14 +48,53 @@ def parse_instance(text: str) -> OpsInstance | DpsInstance:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError("n and m must be integers", 1) from None
-    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
-    if len(body) != m:
-        raise ParseError(f"expected {m} edge lines, found {len(body)}",
+    rows = [parts for parts in map(str.split, lines[1:]) if parts]
+    if len(rows) != m:
+        body = _edge_lines(lines)
+        raise ParseError(f"expected {m} edge lines, found {len(rows)}",
                          body[-1][0] if body else 2)
-    edges: list[tuple[int, int]] = []
-    values = []
-    for lineno, ln in body:
-        parts = ln.split()
+    read = _read_rows(head[0], rows)
+    if read is None:
+        _name_bad_line(head[0], _edge_lines(lines))
+    edges, values = read
+    try:
+        if head[0] == "ops":
+            return OpsInstance(n, edges, values)
+        return DpsInstance(n, edges, values)
+    except ValueError as exc:
+        raise ParseError(str(exc), 1) from None
+
+
+def _edge_lines(lines: list[str]) -> list[tuple[int, list[str]]]:
+    """The line number and fields of every nonblank line after the header."""
+    return [(lineno, parts) for lineno, parts in enumerate(map(str.split, lines[1:]), start=2)
+            if parts]
+
+
+def _read_rows(kind: str, rows: list[list[str]]) -> tuple[tuple, tuple] | None:
+    """Edges and values of the edge lines' fields, read in bulk, or None when
+    some line is bad (`_name_bad_line` then names it)."""
+    if not rows:
+        return (), ()
+    if set(map(len, rows)) != {3}:
+        return None
+    a_col, b_col, v_col = zip(*rows)
+    try:
+        a_col = list(map(int, a_col))
+        b_col = list(map(int, b_col))
+        # Fraction reads a growth string as `as_rational` does
+        values = tuple(map(Fraction if kind == "ops" else int, v_col))
+    except (ValueError, ZeroDivisionError):
+        return None
+    # a growth must be > 0 and a frequency >= 1, which for an int is > 0
+    if min(values) <= 0 or any(map(eq, a_col, b_col)):
+        return None
+    return tuple([(a, b) if a < b else (b, a) for a, b in zip(a_col, b_col)]), values
+
+
+def _name_bad_line(kind: str, body: list[tuple[int, list[str]]]) -> None:
+    """Raise a ParseError naming the first bad edge line of `body`."""
+    for lineno, parts in body:
         if len(parts) != 3:
             raise ParseError("expected 'a b value'", lineno)
         try:
@@ -62,17 +102,16 @@ def parse_instance(text: str) -> OpsInstance | DpsInstance:
         except ValueError:
             raise ParseError("endpoints must be integers", lineno) from None
         try:
-            edges.append(normalize_edge(a, b))
+            normalize_edge(a, b)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        if head[0] == "ops":
+        if kind == "ops":
             try:
                 g = as_rational(parts[2])
             except (ValueError, ZeroDivisionError, TypeError):
                 raise ParseError(f"bad growth rate {parts[2]!r}", lineno) from None
             if g <= 0:
                 raise ParseError("growth rate must be > 0", lineno)
-            values.append(g)
         else:
             try:
                 f = int(parts[2])
@@ -80,13 +119,6 @@ def parse_instance(text: str) -> OpsInstance | DpsInstance:
                 raise ParseError(f"bad frequency {parts[2]!r}", lineno) from None
             if f < 1:
                 raise ParseError("frequency must be >= 1", lineno)
-            values.append(f)
-    try:
-        if head[0] == "ops":
-            return OpsInstance(n, tuple(edges), tuple(values))
-        return DpsInstance(n, tuple(edges), tuple(values))
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
 
 
 def _edge_tokens(instance: OpsInstance | DpsInstance) -> list[str]:

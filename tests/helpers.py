@@ -31,6 +31,16 @@ from polysched.matchings import enumerate_maximal_matchings
 from polysched.simplex import LpSolution
 
 
+def dense_instance(rng) -> OpsInstance:
+    """The bench's dense family: 6-9 persons, 10-16 edges, rational growth
+    p/q with p <= 12, q <= 4."""
+    n = rng.randint(6, 9)
+    pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = sorted(rng.sample(pool, rng.randint(10, min(len(pool), 16))))
+    return OpsInstance(n, tuple(edges),
+                       tuple(Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in edges))
+
+
 def heat_by_desire_simulation(instance: OpsInstance, schedule: PeriodicSchedule):
     """Day-by-day desire growth over three periods of the unrolled schedule.
 

@@ -8,6 +8,7 @@ import pytest
 
 from polysched import cli
 from polysched.satred import synth
+from polysched.satred.cnf import parse_dimacs
 from polysched.bounds import METHODS
 from polysched.cli import (
     EX_INCONCLUSIVE,
@@ -190,6 +191,11 @@ def test_refused_synth_compiles_nothing(tmp_path, capsys, monkeypatch):
     ("# cnf 3 1\n", "not enough values to unpack"),
     ("# cnf 3 x 1\n", "invalid literal for int()"),
     ("# cnf 3 1 1\n# clause 1 -2 9\n", "literal 9 out of range"),
+    ("", "missing '# cnf' header"),
+    ("0 1 2 var:0 -> var:1 0\n# cnf 3 1 1\n# clause 1 2 3\n", "missing '# cnf' header"),
+    ("# cnf 3 2 1\n# clause 1 2 3\n", "clause count mismatch"),
+    ("# cnf 3 2 1\n# clause 1 2 3\n0 1 2 var:0 -> var:1 0\n# clause 1 2 -3\n",
+     "clause count mismatch"),
 ])
 def test_malformed_sidecar_is_a_parse_error(tmp_path, capsys, sidecar, message):
     dps = tmp_path / "f.dps"
@@ -199,6 +205,17 @@ def test_malformed_sidecar_is_a_parse_error(tmp_path, capsys, sidecar, message):
     assert main(argv) == EX_PARSE
     err = capsys.readouterr().err
     assert err.startswith(f"error: {dps}.prov: ") and message in err
+
+
+def test_sidecar_holds_the_formula(tmp_path):
+    text = "p cnf 4 3\n1 -2 3 0\n-1 4 0\n2 3 -4 0\n"
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    dps = tmp_path / "f.dps"
+    assert main(["reduce-sat", "--cnf", str(cnf), "-k", "2", "-o", str(dps)]) == EX_OK
+    prov = f"{dps}.prov"
+    assert len(Path(prov).read_text().splitlines()) > 4  # provenance follows the formula
+    assert cli._formula_from_sidecar(prov) == parse_dimacs(text, k=2)
 
 
 def test_cli_import_leaves_networkx_unloaded():

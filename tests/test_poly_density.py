@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from helpers import dense_instance
 
 from polysched import bounds
 from polysched.bounds import (
@@ -49,14 +50,6 @@ def brute_force_value(inst):
                          if a in inside and b in inside), Fraction(0))
             best = max(best, total / (size // 2))
     return best
-
-
-def dense_instance(rng):
-    """6-9 persons, 10-16 edges, rational growth p/q with p <= 12, q <= 4."""
-    n = rng.randint(6, 9)
-    pool = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    edges = sorted(rng.sample(pool, rng.randint(10, min(len(pool), 16))))
-    return instance(n, edges, [Fraction(rng.randint(1, 12), rng.randint(1, 4)) for _ in edges])
 
 
 def stress_graphs():
