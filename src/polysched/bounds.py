@@ -106,25 +106,20 @@ def subset_bound(instance: OpsInstance, subset, inner) -> BoundReport:
                        (tuple(subset), report.certificate))
 
 
-def _matching_sums(instance: OpsInstance, z, matchings) -> tuple[list[int], int]:
-    """sum_{e in M} z_e / g_e for every matching M, as integers over the common
-    denominator D of the z_e / g_e; returns the sums and D."""
-    ratios = [z[e] / g for e, g in enumerate(instance.growth)]
-    denom = math.lcm(*(q.denominator for q in ratios))
-    scaled = [q.numerator * (denom // q.denominator) for q in ratios]
-    return [sum(map(scaled.__getitem__, mm)) for mm in matchings], denom
-
-
 def dual_value(instance: OpsInstance, weights: DualWeights, *, _matchings=None) -> Fraction:
     """1 / max over maximal matchings of sum z_e / g_e: a certified lower bound.
 
-    `_matchings` is the instance's maximal matchings when the caller has
-    already enumerated them. Raises MatchingCapExceeded beyond MATCHING_CAP
-    edges.
+    The sums are compared as integers over the common denominator D of the
+    z_e / g_e. `_matchings` is the instance's maximal matchings when the
+    caller has already enumerated them. Raises MatchingCapExceeded beyond
+    MATCHING_CAP edges.
     """
     if _matchings is None:
         _matchings = enumerate_maximal_matchings(instance.n, instance.edges)
-    sums, denom = _matching_sums(instance, weights.z, _matchings)
+    ratios = [weights.z[e] / g for e, g in enumerate(instance.growth)]
+    denom = math.lcm(*(q.denominator for q in ratios))
+    scaled = [q.numerator * (denom // q.denominator) for q in ratios]
+    sums = [sum(map(scaled.__getitem__, mm)) for mm in _matchings]
     worst = max(sums)
     if worst == 0:
         raise ValueError("degenerate weights: every matching misses the support")
@@ -243,12 +238,9 @@ def poly_density(instance: OpsInstance) -> PolyDensityResult:
     if sum(z, Fraction(0)) != 1:
         raise RuntimeError(f"dual weights do not sum to 1: {z}")
     weights = DualWeights(z)
-    # dual feasibility, exactly: sum / D <= x* in integers
-    sums, denom = _matching_sums(instance, z, matchings)
-    for mm, total in zip(matchings, sums):
-        if total * x_star.denominator > x_star.numerator * denom:
-            raise RuntimeError(f"dual constraint of matching {sorted(mm)} exceeds {x_star}")
     value = 1 / x_star
+    # dual feasibility, exactly: every matching's sum of z_e/g_e is at most
+    # x*, that is, the largest sum's dual value D/max is at least 1/x*
     if dual_value(instance, weights, _matchings=matchings) < value:
         raise RuntimeError(f"dual value of the weights is below the poly density {value}")
     if value != closed_form:

@@ -49,9 +49,18 @@ def degrees(n: int, edges) -> list[int]:
     return deg
 
 
+class InstanceError(ValueError):
+    """An instance the constructors refuse; `edge` is the index of the first
+    bad edge, or None when the fault is not in one edge."""
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
+
+
 def normalize_edge(a: int, b: int) -> tuple[int, int]:
     if a == b:
-        raise ValueError(f"self-loop on person {a}")
+        raise InstanceError(f"self-loop on person {a}")
     return (a, b) if a < b else (b, a)
 
 
@@ -63,18 +72,24 @@ class _Instance:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        edges = tuple([(a, b) if a < b else normalize_edge(a, b) for a, b in self.edges])
+        if self.n < 0:
+            raise InstanceError(f"person count {self.n} is negative")
+        raw = tuple(self.edges)
+        try:
+            edges = tuple([(a, b) if a < b else normalize_edge(a, b) for a, b in raw])
+        except InstanceError as exc:  # a self-loop, the first in edge order
+            raise InstanceError(str(exc), [a == b for a, b in raw].index(True)) from None
         object.__setattr__(self, "edges", edges)
         # checked in bulk (a < b holds now); the ordered loop only names the
-        # first bad edge
+        # first edge out of range or repeated
         if edges and (min(edges)[0] < 0 or max(map(itemgetter(1), edges)) >= self.n
                       or len(set(edges)) != len(edges)):
             seen: set[tuple[int, int]] = set()
-            for a, b in edges:
+            for i, (a, b) in enumerate(edges):
                 if not (0 <= a < b < self.n):
-                    raise ValueError(f"edge ({a},{b}) out of range for {self.n} persons")
+                    raise InstanceError(f"edge ({a},{b}) out of range for {self.n} persons", i)
                 if (a, b) in seen:
-                    raise ValueError(f"duplicate edge ({a},{b}); graph must be simple")
+                    raise InstanceError(f"duplicate edge ({a},{b}); graph must be simple", i)
                 seen.add((a, b))
 
     @property
@@ -104,10 +119,11 @@ class OpsInstance(_Instance):
         if not set(map(type, growth)) <= {Fraction}:
             growth = tuple(map(as_rational, growth))
         object.__setattr__(self, "growth", growth)
-        if len(self.growth) != len(self.edges):
-            raise ValueError("need exactly one growth rate per edge")
-        if any(g <= 0 for g in self.growth):
-            raise ValueError("growth rates must be strictly positive")
+        if len(growth) != len(self.edges):
+            raise InstanceError("need exactly one growth rate per edge")
+        bad = next((i for i, g in enumerate(growth) if g <= 0), None)
+        if bad is not None:
+            raise InstanceError("growth rates must be strictly positive", bad)
 
     @property
     def g_min(self) -> Fraction:
@@ -137,12 +153,13 @@ class DpsInstance(_Instance):
         super().__post_init__()
         object.__setattr__(self, "freq", tuple(self.freq))
         if len(self.freq) != len(self.edges):
-            raise ValueError("need exactly one frequency per edge")
+            raise InstanceError("need exactly one frequency per edge")
         # checked in bulk; the exact rule, which also accepts subclasses of
-        # int, runs only when the bulk check fails
+        # int, runs only when the bulk check fails, and names the first bad one
         if self.freq and (not set(map(type, self.freq)) <= {int} or min(self.freq) < 1):
-            if any((not isinstance(f, int)) or isinstance(f, bool) or f < 1 for f in self.freq):
-                raise ValueError("frequencies must be integers >= 1")
+            for i, f in enumerate(self.freq):
+                if not isinstance(f, int) or isinstance(f, bool) or f < 1:
+                    raise InstanceError("frequencies must be integers >= 1", i)
 
     @property
     def max_freq(self) -> int:

@@ -1,17 +1,20 @@
-"""Text formats for instances, schedules, and CNF formulas.
+"""Text formats for instances and schedules.
 
 Instance: header ``ops n m`` or ``dps n m``, then m lines ``a b value``.
 Schedule: header ``sched T``, then T lines of space-separated ``a-b`` edge
 tokens (an empty line is an empty day). Emission is canonical (rationals as
 ``p/q``, integers bare), so emit(parse(x)) is byte-stable on canonical files.
+
+Parsing knows only the text: fields, integers and value tokens, each edge
+line read once. What an instance may be (persons, edges, values) is judged by
+its constructor, and a refusal is reported at the line of the edge it names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import eq
 
-from .core import DpsInstance, OpsInstance, PeriodicSchedule, as_rational, normalize_edge
+from .core import DpsInstance, InstanceError, OpsInstance, PeriodicSchedule, normalize_edge
 
 
 class ParseError(ValueError):
@@ -48,77 +51,33 @@ def parse_instance(text: str) -> OpsInstance | DpsInstance:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError("n and m must be integers", 1) from None
-    rows = [parts for parts in map(str.split, lines[1:]) if parts]
-    if len(rows) != m:
-        body = _edge_lines(lines)
-        raise ParseError(f"expected {m} edge lines, found {len(rows)}",
-                         body[-1][0] if body else 2)
-    read = _read_rows(head[0], rows)
-    if read is None:
-        _name_bad_line(head[0], _edge_lines(lines))
-    edges, values = read
+    # Fraction reads a growth string as `as_rational` does
+    read_value, what = (Fraction, "growth rate") if head[0] == "ops" else (int, "frequency")
+    edges, values, linenos = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise ParseError("expected 'a b value'", lineno)
+        try:
+            edges.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError("endpoints must be integers", lineno) from None
+        try:
+            values.append(read_value(parts[2]))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad {what} {parts[2]!r}", lineno) from None
+        linenos.append(lineno)
+    if len(edges) != m:
+        raise ParseError(f"expected {m} edge lines, found {len(edges)}",
+                         linenos[-1] if linenos else len(lines))
     try:
         if head[0] == "ops":
             return OpsInstance(n, edges, values)
         return DpsInstance(n, edges, values)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1) from None
-
-
-def _edge_lines(lines: list[str]) -> list[tuple[int, list[str]]]:
-    """The line number and fields of every nonblank line after the header."""
-    return [(lineno, parts) for lineno, parts in enumerate(map(str.split, lines[1:]), start=2)
-            if parts]
-
-
-def _read_rows(kind: str, rows: list[list[str]]) -> tuple[tuple, tuple] | None:
-    """Edges and values of the edge lines' fields, read in bulk, or None when
-    some line is bad (`_name_bad_line` then names it)."""
-    if not rows:
-        return (), ()
-    if set(map(len, rows)) != {3}:
-        return None
-    a_col, b_col, v_col = zip(*rows)
-    try:
-        a_col = list(map(int, a_col))
-        b_col = list(map(int, b_col))
-        # Fraction reads a growth string as `as_rational` does
-        values = tuple(map(Fraction if kind == "ops" else int, v_col))
-    except (ValueError, ZeroDivisionError):
-        return None
-    # a growth must be > 0 and a frequency >= 1, which for an int is > 0
-    if min(values) <= 0 or any(map(eq, a_col, b_col)):
-        return None
-    return tuple([(a, b) if a < b else (b, a) for a, b in zip(a_col, b_col)]), values
-
-
-def _name_bad_line(kind: str, body: list[tuple[int, list[str]]]) -> None:
-    """Raise a ParseError naming the first bad edge line of `body`."""
-    for lineno, parts in body:
-        if len(parts) != 3:
-            raise ParseError("expected 'a b value'", lineno)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("endpoints must be integers", lineno) from None
-        try:
-            normalize_edge(a, b)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if kind == "ops":
-            try:
-                g = as_rational(parts[2])
-            except (ValueError, ZeroDivisionError, TypeError):
-                raise ParseError(f"bad growth rate {parts[2]!r}", lineno) from None
-            if g <= 0:
-                raise ParseError("growth rate must be > 0", lineno)
-        else:
-            try:
-                f = int(parts[2])
-            except ValueError:
-                raise ParseError(f"bad frequency {parts[2]!r}", lineno) from None
-            if f < 1:
-                raise ParseError("frequency must be >= 1", lineno)
+    except InstanceError as exc:
+        raise ParseError(str(exc), 1 if exc.edge is None else linenos[exc.edge]) from None
 
 
 def _edge_tokens(instance: OpsInstance | DpsInstance) -> list[str]:
@@ -172,4 +131,7 @@ def parse_schedule(instance: OpsInstance | DpsInstance, text: str) -> PeriodicSc
             days.append(frozenset(map(by_token.__getitem__, tokens)))
         except KeyError:
             days.append(_read_day(by_token, tokens, lineno))
-    return PeriodicSchedule(period, tuple(days))
+    try:
+        return PeriodicSchedule(period, tuple(days))
+    except ValueError as exc:
+        raise ParseError(str(exc), 1) from None

@@ -200,8 +200,10 @@ BROKEN_LP = {
     "strong_duality": ("sol.objective += 1", "strong duality fails"),
     "dual_feasibility": ("sol.duals[1] = Fraction(-1)", "not feasible"),
     "unit_mass": ("sol.duals[1] = Fraction(1, 2)", "do not sum to 1"),
+    # the matching's sum 1 exceeds x* = 1/2; the dual_value re-check is the
+    # one dual-feasibility check and names the failure
     "matching_constraint": ("sol.objective = sol.duals[0] = Fraction(1, 2)",
-                            "dual constraint of matching [0] exceeds 1/2"),
+                            "dual value of the weights is below the poly density 2"),
     "dual_value": ("bounds.dual_value = lambda *a, **k: Fraction(0)", "below the poly density"),
 }
 

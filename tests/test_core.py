@@ -13,6 +13,7 @@ from helpers import (
 
 from polysched.core import (
     DpsInstance,
+    InstanceError,
     OpsInstance,
     PeriodicSchedule,
     UNBOUNDED,
@@ -84,6 +85,21 @@ def test_first_invalid_edge_is_named(edges, message):
     with pytest.raises(ValueError) as err:
         DpsInstance(4, edges, (1,) * len(edges))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make, message, edge", [
+    (lambda: DpsInstance(-3, (), ()), "person count -3 is negative", None),
+    (lambda: DpsInstance(4, ((0, 1), (2, 9), (3, 3)), (1, 1, 1)), "self-loop on person 3", 2),
+    (lambda: DpsInstance(4, ((1, 0), (2, 3), (0, 1)), (1, 1, 1)),
+     "duplicate edge (0,1); graph must be simple", 2),
+    (lambda: OpsInstance(3, ((0, 1), (1, 2)), (1, 0)), "growth rates must be strictly positive", 1),
+    (lambda: DpsInstance(3, ((0, 1), (1, 2)), (2, True)), "frequencies must be integers >= 1", 1),
+    (lambda: OpsInstance(3, ((0, 1),), (1, 2)), "need exactly one growth rate per edge", None),
+], ids=["negative-n", "self-loop", "duplicate", "zero-growth", "bool-frequency", "value-count"])
+def test_instance_error_carries_the_bad_edge(make, message, edge):
+    with pytest.raises(InstanceError) as err:
+        make()
+    assert str(err.value) == message and err.value.edge == edge
 
 
 class TestRecurrence:

@@ -1,5 +1,11 @@
+from fractions import Fraction
+
 import pytest
 from helpers import first_reaching_assignment
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from polysched.cli import EX_PARSE, main
 
 from polysched.core import DpsInstance, OpsInstance, PeriodicSchedule, heat, verify_dps, ops_to_dps
 from polysched.fileio import (
@@ -167,3 +173,112 @@ def test_large_schedule_bytes_stable():
     text = emit_schedule(art.dps, synthesize_schedule(art, first_reaching_assignment(formula)))
     assert art.dps.m == 1462
     assert emit_schedule(art.dps, parse_schedule(art.dps, text)) == text
+
+
+VALID_OPS = "ops 2 1\n0 1 1\n"
+
+# (instance text, schedule text or None, message, line); a schedule case
+# reads its schedule against VALID_OPS
+MALFORMED = {
+    "empty": ("", None, "empty instance file", 1),
+    "bad-header": ("opz 2 1\n0 1 1\n", None, "expected header 'ops n m' or 'dps n m'", 1),
+    "short-header": ("ops 2\n0 1 1\n", None, "expected header 'ops n m' or 'dps n m'", 1),
+    "non-integer-n": ("ops two 1\n0 1 1\n", None, "n and m must be integers", 1),
+    "non-integer-m": ("dps 2 1.0\n0 1 1\n", None, "n and m must be integers", 1),
+    "too-few-lines": ("ops 3 3\n0 1 1\n\n1 2 1\n\n", None, "expected 3 edge lines, found 2", 4),
+    "too-many-lines": ("ops 3 1\n0 1 1\n1 2 1\n", None, "expected 1 edge lines, found 2", 3),
+    "no-edge-lines": ("ops 3 1\n", None, "expected 1 edge lines, found 0", 1),
+    "field-count": ("ops 3 2\n0 1 1\n1 2\n", None, "expected 'a b value'", 3),
+    "non-integer-endpoint": ("dps 3 2\n0 1 2\n1 b 2\n", None, "endpoints must be integers", 3),
+    "growth-x": ("ops 3 2\n0 1 1\n1 2 x\n", None, "bad growth rate 'x'", 3),
+    "growth-1/0": ("ops 3 2\n0 1 1/0\n1 2 1\n", None, "bad growth rate '1/0'", 2),
+    "frequency-x": ("dps 3 1\n0 1 x\n", None, "bad frequency 'x'", 2),
+    "frequency-1/2": ("dps 3 1\n0 1 1/2\n", None, "bad frequency '1/2'", 2),
+    "token-before-rule": ("ops 3 2\n1 1 1\n0 1 x\n", None, "bad growth rate 'x'", 3),
+    "self-loop": ("ops 3 2\n0 1 1\n2 2 1\n", None, "self-loop on person 2", 3),
+    "out-of-range": ("dps 3 3\n0 1 2\n1 3 2\n0 2 2\n", None,
+                     "edge (1,3) out of range for 3 persons", 3),
+    "negative-endpoint": ("dps 3 2\n0 1 2\n\n2 -1 2\n", None,
+                          "edge (-1,2) out of range for 3 persons", 4),
+    "repeated": ("dps 3 3\n0 1 2\n1 2 2\n0 1 3\n", None,
+                 "duplicate edge (0,1); graph must be simple", 4),
+    "repeated-reversed": ("dps 3 3\n0 1 2\n1 2 2\n1 0 3\n", None,
+                          "duplicate edge (0,1); graph must be simple", 4),
+    "zero-growth": ("ops 3 2\n0 1 1\n1 2 0\n", None, "growth rates must be strictly positive", 3),
+    "negative-growth": ("ops 3 2\n0 1 -1/2\n1 2 1\n", None,
+                        "growth rates must be strictly positive", 2),
+    "zero-frequency": ("dps 3 2\n0 1 2\n1 2 0\n", None, "frequencies must be integers >= 1", 3),
+    "negative-n": ("dps -1 0\n", None, "person count -1 is negative", 1),
+    "sched-empty": (VALID_OPS, "", "empty schedule file", 1),
+    "sched-bad-header": (VALID_OPS, "schedule 1\n0-1\n", "expected header 'sched T'", 1),
+    "sched-non-integer": (VALID_OPS, "sched one\n0-1\n", "T must be an integer", 1),
+    "sched-day-count": (VALID_OPS, "sched 2\n0-1\n", "expected 2 day lines, found 1", 2),
+    "sched-0": (VALID_OPS, "sched 0\n", "period must be >= 1", 1),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_file_names_its_line(case, tmp_path, capsys):
+    """Each malformed file raises a ParseError at its own line, and the CLI
+    exits 65 naming the file."""
+    instance_text, schedule_text, message, line = MALFORMED[case]
+    with pytest.raises(ParseError) as err:
+        if schedule_text is None:
+            parse_instance(instance_text)
+        else:
+            parse_schedule(parse_instance(instance_text), schedule_text)
+    assert str(err.value) == f"line {line}: {message}" and err.value.line == line
+
+    instance, schedule = tmp_path / "case.inst", tmp_path / "case.sched"
+    instance.write_text(instance_text)
+    schedule.write_text("sched 1\n\n" if schedule_text is None else schedule_text)
+    bad = instance if schedule_text is None else schedule
+    assert main(["verify", str(instance), str(schedule)]) == EX_PARSE
+    assert capsys.readouterr().err == f"error: {bad}: line {line}: {message}\n"
+
+
+# derandomized, so every run checks the same examples
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(0, 7))
+    pool = [(a, b) if draw(st.booleans()) else (b, a) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.permutations(pool))[:draw(st.integers(0, len(pool)))]
+    if draw(st.booleans()):
+        growth = [Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12))) for _ in edges]
+        return OpsInstance(n, edges, growth)
+    return DpsInstance(n, edges, [draw(st.integers(1, 30)) for _ in edges])
+
+
+@PROPERTY
+@given(instances())
+def test_emit_parse_round_trip(instance):
+    text = emit_instance(instance)
+    assert parse_instance(text) == instance
+    assert emit_instance(parse_instance(text)) == text
+
+
+# replacement tokens: value and count spellings, words, and short strings of
+# digits and signs (no exponent, so no token asks for a huge number)
+TOKENS = (st.sampled_from(["", "x", "ops", "dps", "1/0", "0/3", "-2/3", "7/6", "1.5", "1e3"])
+          | st.integers(-3, 12).map(str)
+          | st.text(alphabet="0123456789-/x", max_size=4))
+
+
+@PROPERTY
+@given(instances(), st.data())
+def test_single_token_mutation_parses_or_names_a_line(instance, data):
+    """Replacing one token of a valid file either gives a file that parses or
+    one whose ParseError names a line of the file; nothing else is raised."""
+    lines = emit_instance(instance).splitlines()
+    lineno = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[lineno].split()
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
+    lines[lineno] = " ".join(tokens)
+    try:
+        parse_instance("\n".join(lines) + "\n")
+    except ParseError as err:
+        assert 1 <= err.line <= len(lines)
