@@ -8,6 +8,8 @@ rejected so that optimality statements like ``h < 160`` are exact.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -23,8 +25,9 @@ representable and diagnosable. Compares correctly against any Fraction.
 def as_rational(value) -> Fraction:
     """Convert to an exact Fraction. Rejects floats.
 
-    Accepts ints, Fractions, and strings ("3", "0.25", "7/6"); decimal
-    strings are parsed exactly.
+    Accepts ints, Fractions, and strings ("3", "0.25", "7/6", "1e-3");
+    decimal strings are parsed exactly, with a decimal exponent of at most
+    `sys.get_int_max_str_digits()` (4300 by default) either way.
     """
     if isinstance(value, bool):
         raise TypeError("boolean is not a rational value")
@@ -36,8 +39,25 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return rational_from_text(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+# Fraction expands a decimal exponent exactly, so "1e999999999" would take
+# hours; an exponent is refused beyond the digit limit Python puts on reading
+# an int, which already refuses a longer integer token
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def rational_from_text(text: str) -> Fraction:
+    """`Fraction(text)`, refusing a decimal exponent beyond
+    `sys.get_int_max_str_digits()` (4300 by default) either way."""
+    if "e" in text or "E" in text:
+        exponent = _EXPONENT.search(text)
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if exponent and abs(int(exponent[1])) > limit:
+            raise ValueError(f"decimal exponent of {text!r} exceeds {limit}")
+    return Fraction(text)
 
 
 def degrees(n: int, edges) -> list[int]:
@@ -76,7 +96,9 @@ class _Instance:
             raise InstanceError(f"person count {self.n} is negative")
         raw = tuple(self.edges)
         try:
-            edges = tuple([(a, b) if a < b else normalize_edge(a, b) for a, b in raw])
+            # an edge given as an ordered pair tuple is kept, not rebuilt
+            edges = tuple([e if a < b and type(e) is tuple else normalize_edge(a, b)
+                           for e in raw for a, b in [e]])
         except InstanceError as exc:  # a self-loop, the first in edge order
             raise InstanceError(str(exc), [a == b for a, b in raw].index(True)) from None
         object.__setattr__(self, "edges", edges)

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import DpsInstance, InstanceError, OpsInstance, PeriodicSchedule, normalize_edge
+from .core import (
+    DpsInstance, InstanceError, OpsInstance, PeriodicSchedule, normalize_edge, rational_from_text,
+)
 
 
 class ParseError(ValueError):
@@ -51,8 +53,7 @@ def parse_instance(text: str) -> OpsInstance | DpsInstance:
         n, m = int(head[1]), int(head[2])
     except ValueError:
         raise ParseError("n and m must be integers", 1) from None
-    # Fraction reads a growth string as `as_rational` does
-    read_value, what = (Fraction, "growth rate") if head[0] == "ops" else (int, "frequency")
+    read_value, what = (rational_from_text, "growth rate") if head[0] == "ops" else (int, "frequency")
     edges, values, linenos = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split()

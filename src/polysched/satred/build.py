@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import NamedTuple
 
 from ..core import DpsInstance
 from .cnf import CnfFormula
@@ -52,42 +54,53 @@ KIND_SPEC = {
 }
 # the phases that split a phased kind's pool
 _PHASES = {kind: class_phases(*KIND_SPEC[kind]) for kind in ("B12", "G12")}
+# frequency, colour and role of the edge a consumed port of each kind makes
+_CONSUMED = {kind: (freq, color, "value" if kind == "lit" else f"const-{kind}")
+             for kind, (freq, color) in KIND_SPEC.items()}
 # duplicating a red constant pins the nine-edges blue, and vice versa
 _NINE_COLOR = {"R3": "B", "B3": "R"}
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(NamedTuple):
     person: int
     gid: int
     name: str
 
 
-@dataclass
-class EdgeRec:
+class EdgeRec(NamedTuple):
     index: int
     a: int
     b: int
     freq: int
     color: str | None  # R/B/G/P or None for value-carrying edges
     role: str
-    src: tuple[int, str]  # (gadget id, port name)
-    dst: tuple[int, str]
+    src_gid: int  # the producing gadget and its port name
+    src_port: str
+    dst_gid: int  # the consuming gadget and its port name
+    dst_port: str
     layer: str
 
 
-@dataclass
+# EdgeRec._make and Port._make without their Python-level call: the
+# builder makes one record per edge and one port per produced port
+_edge_rec = partial(tuple.__new__, EdgeRec)
+_port = partial(tuple.__new__, Port)
+
+
+@dataclass(slots=True)
 class GadgetRec:
     gid: int
     kind: str
     layer: str
-    persons: dict[str, int] = field(default_factory=dict)
-    edges: dict[str, int] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    meta: dict
+    name: str = field(init=False)
+    persons: dict[str, int] = field(init=False)
+    edges: dict[str, int] = field(init=False)
 
-    @property
-    def name(self) -> str:
-        return f"{self.kind}{self.gid}"
+    def __post_init__(self) -> None:
+        self.name = f"{self.kind}{self.gid}"
+        self.persons = {}
+        self.edges = {}
 
 
 @dataclass
@@ -110,8 +123,8 @@ class ReductionArtifact:
     def provenance_lines(self) -> list[str]:
         out = []
         for rec in self.edge_recs:
-            src = f"{self.gadgets[rec.src[0]].name}:{rec.src[1]}"
-            dst = f"{self.gadgets[rec.dst[0]].name}:{rec.dst[1]}"
+            src = f"{self.gadgets[rec.src_gid].name}:{rec.src_port}"
+            dst = f"{self.gadgets[rec.dst_gid].name}:{rec.dst_port}"
             out.append(f"{rec.a} {rec.b} {rec.freq} {src} -> {dst} {rec.layer}")
         return out
 
@@ -127,8 +140,7 @@ class _Builder:
         self.n_padded = max(2, formula.num_vars + (formula.num_vars % 2))
         self.labels: list[str] = []
         self.density1: list[bool] = []
-        self.edge_pairs: list[tuple[int, int]] = []
-        self.pair_set: set[tuple[int, int]] = set()
+        self.pairs: dict[tuple[int, int], int] = {}  # edge -> index, in index order
         self.freqs: list[int] = []
         self.recs: list[EdgeRec] = []
         self.gadgets: list[GadgetRec] = []
@@ -149,7 +161,7 @@ class _Builder:
         return len(self.labels) - 1
 
     def gadget(self, kind: str, layer: str, **meta) -> GadgetRec:
-        g = GadgetRec(len(self.gadgets), kind, layer, meta=dict(meta))
+        g = GadgetRec(len(self.gadgets), kind, layer, meta)
         self.gadgets.append(g)
         return g
 
@@ -159,18 +171,15 @@ class _Builder:
         if a == b:
             raise CompileError(f"self-loop at person {a} ({role})")
         pair = (a, b) if a < b else (b, a)
-        if pair in self.pair_set:
+        idx = len(self.freqs)
+        if self.pairs.setdefault(pair, idx) != idx:
             raise CompileError(f"duplicate edge {pair} ({role})")
-        idx = len(self.edge_pairs)
-        self.edge_pairs.append(pair)
-        self.pair_set.add(pair)
         self.freqs.append(freq)
-        self.recs.append(EdgeRec(idx, pair[0], pair[1], freq, color, role,
-                                 (src_g.gid, src_name), (dst_g.gid, dst_name),
-                                 dst_g.layer))
         src_g.edges[src_name] = idx
-        if dst_g.gid != src_g.gid or dst_name != src_name:
+        if dst_g is not src_g or dst_name != src_name:
             dst_g.edges[dst_name] = idx
+        self.recs.append(_edge_rec((idx, pair[0], pair[1], freq, color, role,
+                                    src_g.gid, src_name, dst_g.gid, dst_name, dst_g.layer)))
         return idx
 
     def internal(self, g: GadgetRec, name: str, a: int, b: int,
@@ -181,29 +190,26 @@ class _Builder:
 
     def produce(self, kind: str, g: GadgetRec, name: str, person: int,
                 sub: int | tuple[int, int] | None = None) -> None:
-        self.pools[(kind, sub)].append(Port(person, g.gid, name))
-        if kind in _PHASES:
-            g.meta.setdefault("port_phase", {})[name] = sub
+        self.pools[(kind, sub)].append(_port((person, g.gid, name)))
 
     def consume(self, kind: str, g: GadgetRec, name: str, person: int,
                 sub: int | tuple[int, int] | None = None) -> int:
         """Edge from the first port in pool (kind, sub) whose producer is not
         already adjacent to `person`."""
         pool = self.pools[(kind, sub)]
-        what = kind if sub is None else f"{kind}@{sub}"
-        where = f"{g.name}:{name}"
-        if not pool:
-            raise CompileError(f"pool {what} ran dry at {where}")
         for i, port in enumerate(pool):
-            if port.person != person and (min(port.person, person), max(port.person, person)) not in self.pair_set:
+            p = port.person
+            if p != person and ((p, person) if p < person else (person, p)) not in self.pairs:
                 del pool[i]
                 break
         else:
-            raise CompileError(f"no compatible port in pool {what} at {where}")
-        freq, color = KIND_SPEC[kind]
-        src = self.gadgets[port.gid]
-        return self.edge(src, port.name, port.person, g, name, person,
-                         freq, color, "value" if kind == "lit" else f"const-{kind}")
+            what = kind if sub is None else f"{kind}@{sub}"
+            if not pool:
+                raise CompileError(f"pool {what} ran dry at {g.name}:{name}")
+            raise CompileError(f"no compatible port in pool {what} at {g.name}:{name}")
+        freq, color, role = _CONSUMED[kind]
+        return self.edge(self.gadgets[port.gid], port.name, port.person, g, name, person,
+                         freq, color, role)
 
     def consume_channel(self, port: Port, channel: int, g: GadgetRec, name: str,
                         person: int) -> int:
@@ -316,31 +322,32 @@ def signal_label(signal: tuple) -> str:
 
 def _extend_d3_chain(b: _Builder, g: GadgetRec, extra_rows: int) -> None:
     """Add rows of three copy nodes each, hanging off open nine-stubs."""
-    signal = g.meta["signal"]
-    kind, sub = _pool_key(signal)
-    nine_color = g.meta["nine_color"]
-    stubs = deque(g.meta["open_stubs"])
-    tag = signal_label(signal)
+    meta = g.meta
+    kind, sub = _pool_key(meta["signal"])
+    nine_color = meta["nine_color"]
+    stubs = deque(meta["open_stubs"])
+    tag = signal_label(meta["signal"])
     for _ in range(extra_rows):
-        r = g.meta["rows"] + 1
-        g.meta["rows"] = r
+        r = meta["rows"] + 1
+        meta["rows"] = r
         nodes = []
         for j in range(3):
-            node = b.person(f"D3[{tag}].r{r}n{j}", True)
-            g.persons[f"r{r}n{j}"] = node
+            key = f"r{r}n{j}"
+            node = b.person(f"D3[{tag}].{key}", True)
+            g.persons[key] = node
             parent, pname = stubs.popleft()
-            b.edge(g, pname, parent, g, f"nine.up.r{r}n{j}", node, 9, nine_color, "nine")
+            b.edge(g, pname, parent, g, f"nine.up.{key}", node, 9, nine_color, "nine")
             nodes.append(node)
         b.consume("P6", g, f"p6_in.r{r}", nodes[0])
         b.internal(g, f"six.r{r}.01", nodes[0], nodes[1], 6, "G", "row-chain")
         b.internal(g, f"six.r{r}.12", nodes[1], nodes[2], 6, "P", "row-chain")
         b.produce("G6", g, f"g6_out.r{r}", nodes[2])
         for j, node in enumerate(nodes):
-            g.meta["copies"] += 1
-            b.produce(kind, g, f"copy{g.meta['copies']}", node, sub)
+            meta["copies"] += 1
+            b.produce(kind, g, f"copy{meta['copies']}", node, sub)
             stubs.append((node, f"nine.r{r}n{j}.0"))
             stubs.append((node, f"nine.r{r}n{j}.1"))
-    g.meta["open_stubs"] = list(stubs)
+    meta["open_stubs"] = list(stubs)
 
 
 def _build_p6_duplicator(b: _Builder, layers: int, layer: str) -> GadgetRec:
@@ -397,8 +404,10 @@ def _build_splitter(b: _Builder, kind: str) -> GadgetRec:
         b.internal(g, "out2", node, pend, 6, "B", "splitter-spare")
         return g
     out_kind = kind[1:]  # SB12 -> B12, SG12 -> G12
+    port_phase = g.meta["port_phase"] = {}  # read by synthesis
     for i, phase in enumerate(_PHASES[out_kind]):
         b.produce(out_kind, g, f"out{i}", node, phase)
+        port_phase[f"out{i}"] = phase
     return g
 
 
@@ -520,15 +529,11 @@ def comparator_order(m: int) -> list[tuple[int, int]]:
     return items
 
 
-def _attach_pendant(b: _Builder, port: Port, freq: int, color: str | None,
-                    role: str, layer: str, channel: int | None = None) -> None:
+def _attach_pendant(b: _Builder, src_g: GadgetRec, src_name: str, person: int,
+                    freq: int, color: str | None, role: str, layer: str) -> int:
     g = b.gadget("Pendant", layer)
-    p = b.person(f"{g.name}.p", False)
-    g.persons["p"] = p
-    src = b.gadgets[port.gid]
-    idx = b.edge(src, port.name, port.person, g, "in", p, freq, color, role)
-    if channel is not None:
-        b.channel_of_edge[idx] = channel
+    p = g.persons["p"] = b.person(g.name + ".p", False)
+    return b.edge(src_g, src_name, person, g, "in", p, freq, color, role)
 
 
 def compile_formula(formula: CnfFormula) -> ReductionArtifact:
@@ -581,25 +586,28 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
         _build_tension(b, group)
     for j in range(k, formula.num_clauses):
         port, channel = channels[j]
-        _attach_pendant(b, port, 12, None, "channel-out", "tension", channel=channel)
+        idx = _attach_pendant(b, b.gadgets[port.gid], port.name, port.person,
+                              12, None, "channel-out", "tension")
+        b.channel_of_edge[idx] = channel
 
     # surplus ports of every pool end at pendants, in the table's order
     for (kind, _), pool in b.pools.items():
         freq, color = KIND_SPEC[kind]
         role = "value-spare" if kind == "lit" else f"surplus-{kind}"
         layer = "sorting" if kind in _PHASES else "duplication"
-        while pool:
-            _attach_pendant(b, pool.popleft(), freq, color, role, layer)
+        for port in pool:
+            _attach_pendant(b, b.gadgets[port.gid], port.name, port.person,
+                            freq, color, role, layer)
+        pool.clear()
     for g in b.gadgets:
         if g.kind in ("D3", "D6") and g.meta.get("open_stubs"):
             freq = 9 if g.kind == "D3" else 12
             color = g.meta.get("nine_color") if g.kind == "D3" else "G"
             for person, pname in g.meta["open_stubs"]:
-                _attach_pendant(b, Port(person, g.gid, pname), freq, color,
-                                "stub-spare", g.layer)
+                _attach_pendant(b, g, pname, person, freq, color, "stub-spare", g.layer)
             g.meta["open_stubs"] = []
 
-    dps = DpsInstance(len(b.labels), tuple(b.edge_pairs), tuple(b.freqs))
+    dps = DpsInstance(len(b.labels), tuple(b.pairs), tuple(b.freqs))
     _validate(b, dps)
 
     var_value_edges = []
@@ -629,19 +637,19 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
 
 
 def _validate(b: _Builder, dps: DpsInstance) -> None:
-    if any(f not in (3, 6, 9, 12) for f in dps.freq):
+    """Every frequency is 3, 6, 9 or 12; a density-1 person has load exactly 1
+    and every other person a load below 1."""
+    if not set(dps.freq) <= {3, 6, 9, 12}:
         raise CompileError("emitted a frequency outside {3, 6, 9, 12}")
     load = [0] * dps.n  # in units of 1/36, which every frequency above divides
     for (x, y), f in zip(dps.edges, dps.freq):
-        load[x] += 36 // f
-        load[y] += 36 // f
-    for p, dense in enumerate(b.density1):
-        if dense and load[p] != 36:
-            raise CompileError(
-                f"density-1 person {b.labels[p]} has load {Fraction(load[p], 36)}"
-            )
-        if not dense and load[p] >= 36 and b.labels[p].startswith(("Pendant",)):
-            raise CompileError(f"pendant {b.labels[p]} overloaded")
+        units = 36 // f
+        load[x] += units
+        load[y] += units
+    for p, (dense, units) in enumerate(zip(b.density1, load)):
+        if units != 36 if dense else units >= 36:
+            raise CompileError(f"{'' if dense else 'non-'}density-1 person {b.labels[p]} "
+                               f"has load {Fraction(units, 36)}")
 
 
 def density_one_persons(artifact: ReductionArtifact) -> list[int]:

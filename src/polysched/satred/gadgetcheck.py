@@ -71,7 +71,8 @@ class _Model:
         endpoints = {name: (a, b) for name, a, b, _, _ in self.edges}
         freqs = {name: freq for name, _, _, freq, _ in self.edges}
         out = []
-        for sol in solve(variables, endpoints, {}):
+        idle = {p: 0 for pair in endpoints.values() for p in pair}
+        for sol in solve(variables, endpoints, idle):
             colored = {name: (phase, phase_color(freqs[name], phase))
                        for name, phase in sol.items()}
             out.append(colored)

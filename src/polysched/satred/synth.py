@@ -1,7 +1,7 @@
 """Schedule synthesis from a satisfying assignment, and assignment extraction.
 
 Synthesis builds a period-36 schedule (the lcm of the gadget periods 6, 12,
-18). One rule, `_domain`, gives every edge its candidate phases: a channel
+18). One rule, `_domains`, gives every edge its candidate phases: a channel
 edge takes its colour's channel phase (the compile-time splitter
 allocation), a phased B12/G12 port its producer's phase, a value edge the
 class of its literal, and every other edge its colour class. Pass 1 commits
@@ -98,26 +98,31 @@ def synthesize_schedule(artifact: ReductionArtifact | DeferredArtifact,
         artifact = artifact.artifact
     channel_colors = simulate_channels(artifact, assignment)
     dps = artifact.dps
-    phases: dict[int, int] = {}
-    masks: dict[int, int] = {}
+    edges, freq = dps.edges, dps.freq
+    masks = [0] * dps.n  # committed days of each person, one bit per day
+    committed = [False] * dps.m
+    meeting: dict[tuple[int, int], list[int]] = {}  # (freq, phase) -> its edges
 
-    def assign(e: int, phase: int) -> None:
-        a, b = dps.edges[e]
-        mask = occ_mask(dps.freq[e], phase)
-        if masks.get(a, 0) & mask or masks.get(b, 0) & mask:
-            raise SynthesisError(
-                f"phase clash at edge {e} ({artifact.edge_recs[e].role})"
-            )
-        masks[a] = masks.get(a, 0) | mask
-        masks[b] = masks.get(b, 0) | mask
-        phases[e] = phase
+    def commit(items) -> None:
+        for e, phase in items:
+            a, b = edges[e]
+            mask = occ_mask(freq[e], phase)
+            if masks[a] & mask or masks[b] & mask:
+                raise SynthesisError(
+                    f"phase clash at edge {e} ({artifact.edge_recs[e].role})"
+                )
+            masks[a] |= mask
+            masks[b] |= mask
+            committed[e] = True
+            key = (freq[e], phase)
+            if key in meeting:
+                meeting[key].append(e)
+            else:
+                meeting[key] = [e]
 
-    domains = [_domain(artifact, rec, assignment, channel_colors)
-               for rec in artifact.edge_recs]
+    domains = _domains(artifact, assignment, channel_colors)
     # pass 1: every one-phase domain
-    for e, domain in enumerate(domains):
-        if len(domain) == 1:
-            assign(e, domain[0])
+    commit((e, domain[0]) for e, domain in enumerate(domains) if len(domain) == 1)
 
     # pass 2: per-gadget local solves in construction order, except that
     # splitters and pendants settle last: the consumer of a flexible port
@@ -129,24 +134,22 @@ def synthesize_schedule(artifact: ReductionArtifact | DeferredArtifact,
         free = []
         endpoints = {}
         for e in g.edges.values():
-            if e in phases or e in endpoints:
+            if committed[e] or e in endpoints:
                 continue
-            rec = artifact.edge_recs[e]
-            free.append((e, rec.freq, domains[e]))
-            endpoints[e] = (rec.a, rec.b)
+            free.append((e, freq[e], domains[e]))
+            endpoints[e] = edges[e]
         if not free:
             continue
         sol = solve_first(free, endpoints, masks)
         if sol is None:
             raise SynthesisError(f"no local schedule for {g.name}")
-        for e, phase in sol.items():
-            assign(e, phase)
+        commit(sol.items())
 
     days = [set() for _ in range(PERIOD)]
-    for e, phase in phases.items():
-        for d in range(phase, PERIOD, dps.freq[e]):
-            days[d].add(e)
-    schedule = PeriodicSchedule(PERIOD, tuple(frozenset(d) for d in days))
+    for (f, phase), group in meeting.items():
+        for d in range(phase, PERIOD, f):
+            days[d].update(group)
+    schedule = PeriodicSchedule(PERIOD, tuple(map(frozenset, days)))
     violation = verify_dps(dps, schedule)
     if violation is not None:
         raise SynthesisError(f"synthesized schedule invalid: {violation}")
@@ -160,9 +163,9 @@ def _literal_red(artifact: ReductionArtifact, rec, assignment) -> bool:
     literal duplication chain; a padding variable, beyond the formula's
     variables, reads as True.
     """
-    src = artifact.gadget(rec.src[0])
+    src = artifact.gadget(rec.src_gid)
     if src.kind == "Variable":
-        var, pol = src.meta["var"], 1 if rec.src[1] == "valR" else -1
+        var, pol = src.meta["var"], 1 if rec.src_port == "valR" else -1
     elif src.kind == "D3" and src.meta["signal"][0] == "lit":
         _, var, pol = src.meta["signal"]
     else:
@@ -171,26 +174,31 @@ def _literal_red(artifact: ReductionArtifact, rec, assignment) -> bool:
     return value == (pol > 0)
 
 
-def _domain(artifact: ReductionArtifact, rec, assignment,
-            channel_colors: dict[int, str]) -> tuple[int, ...]:
-    """Candidate phases of one edge, in the order the local solves try them.
+def _domains(artifact: ReductionArtifact, assignment,
+             channel_colors: dict[int, str]) -> list[tuple[int, ...]]:
+    """Candidate phases of every edge, in the order the local solves try them.
 
     A channel edge or a phased B12/G12 port has one phase; so has a value
     edge, which keeps to the class of its literal. A nine-edge with no colour
     takes the class opposite its literal (a literal chain's nine-edges
     oppose its copies); every other edge keeps to its colour class.
     """
-    e = rec.index
-    if e in channel_colors:
-        return (channel_phase(channel_colors[e], artifact.channel_of_edge[e]),)
-    port_phase = artifact.gadget(rec.src[0]).meta.get("port_phase", {})
-    if rec.src[1] in port_phase:
-        return (port_phase[rec.src[1]],)
-    color = rec.color
-    if color is None and rec.freq in (3, 9):
-        red = _literal_red(artifact, rec, assignment)
-        color = "R" if red == (rec.freq == 3) else "B"
-    return class_phases(rec.freq, color)
+    port_phase = {g.gid: g.meta["port_phase"] for g in artifact.gadgets
+                  if "port_phase" in g.meta}
+    domains = []
+    for rec in artifact.edge_recs:
+        e = rec.index
+        if e in channel_colors:
+            domains.append((channel_phase(channel_colors[e], artifact.channel_of_edge[e]),))
+        elif rec.src_port in port_phase.get(rec.src_gid, ()):
+            domains.append((port_phase[rec.src_gid][rec.src_port],))
+        else:
+            color = rec.color
+            if color is None and rec.freq in (3, 9):
+                red = _literal_red(artifact, rec, assignment)
+                color = "R" if red == (rec.freq == 3) else "B"
+            domains.append(class_phases(rec.freq, color))
+    return domains
 
 
 # -- extraction ---------------------------------------------------------------

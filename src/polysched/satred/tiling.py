@@ -31,6 +31,11 @@ def occ_mask(freq: int, phase: int) -> int:
 
 
 @cache
+def occ_masks(freq: int, phases: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(occ_mask(freq, phase) for phase in phases)
+
+
+@cache
 def class_phases(freq: int, color: str | None) -> tuple[int, ...]:
     """Phases whose occurrence set lies inside the color class; every phase
     when color is None."""
@@ -51,40 +56,51 @@ def phase_color(freq: int, phase: int) -> str | None:
 
 
 def solve(
-    variables: list[tuple[object, int, list[int]]],
+    variables: list[tuple[object, int, tuple[int, ...]]],
     endpoints: dict[object, tuple[object, object]],
-    base_masks: dict[object, int],
+    base_masks,
 ) -> Iterator[dict[object, int]]:
     """Yield phase assignments keeping every endpoint's day set disjoint.
 
-    variables: (key, freq, candidate phases); endpoints maps each key to the
-    two person keys whose occupancy the edge joins; base_masks gives the
-    already-committed occupancy (not mutated). Most-constrained variables
-    are tried first; within a domain, phases in the given order.
+    variables: (key, freq, tuple of candidate phases); endpoints maps each
+    key to the two person keys whose occupancy the edge joins; base_masks
+    gives the already-committed occupancy of every endpoint, by person key
+    (a list indexed by person or a dict; never mutated). Most-constrained
+    variables are tried first; within a domain, phases in the given order.
     """
-    masks = dict(base_masks)
-    order = sorted(range(len(variables)), key=lambda i: (len(variables[i][2]), i))
+    masks = {p: base_masks[p] for pair in endpoints.values() for p in pair}
+    # per variable in search order (sorted is stable, so ties keep their
+    # given order): key, endpoints, phases and their day masks
+    steps = [(key, *endpoints[key], domain, occ_masks(freq, domain))
+             for key, freq, domain in sorted(variables, key=lambda v: len(v[2]))]
+    if not steps:
+        yield {}
+        return
     assignment: dict[object, int] = {}
-
-    def rec(pos: int) -> Iterator[dict[object, int]]:
-        if pos == len(order):
+    # depth-first, one loop step per placement; tried[d] counts the phases
+    # tried at depth d, so a depth returned to frees its current phase first
+    tried = [0] * len(steps)
+    depth = 0
+    while depth >= 0:
+        key, pa, pb, domain, occ = steps[depth]
+        i = tried[depth]
+        if i:
+            masks[pa] &= ~occ[i - 1]
+            masks[pb] &= ~occ[i - 1]
+        while i < len(occ) and (masks[pa] & occ[i] or masks[pb] & occ[i]):
+            i += 1
+        if i == len(occ):
+            tried[depth] = 0
+            depth -= 1
+            continue
+        tried[depth] = i + 1
+        masks[pa] |= occ[i]
+        masks[pb] |= occ[i]
+        assignment[key] = domain[i]
+        if depth + 1 < len(steps):
+            depth += 1
+        else:
             yield dict(assignment)
-            return
-        key, freq, domain = variables[order[pos]]
-        pa, pb = endpoints[key]
-        for phase in domain:
-            mask = occ_mask(freq, phase)
-            if masks.get(pa, 0) & mask or masks.get(pb, 0) & mask:
-                continue
-            masks[pa] = masks.get(pa, 0) | mask
-            masks[pb] = masks.get(pb, 0) | mask
-            assignment[key] = phase
-            yield from rec(pos + 1)
-            del assignment[key]
-            masks[pa] &= ~mask
-            masks[pb] &= ~mask
-
-    yield from rec(0)
 
 
 def solve_first(variables, endpoints, base_masks) -> dict[object, int] | None:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from polysched import cli
-from polysched.satred import synth
+from polysched.satred import compile_formula, synth
 from polysched.satred.cnf import parse_dimacs
 from polysched.bounds import METHODS
 from polysched.cli import (
@@ -166,6 +166,30 @@ def test_reduction_pipeline(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "01"
     # x1=True satisfies only the first clause
     assert main(["synth", "--artifact", str(dps), "--assign", "10"]) == EX_INFEASIBLE
+
+
+def test_each_reduction_command_compiles_once(tmp_path, capsys, monkeypatch):
+    compiles = []
+
+    def counting_compile(formula):
+        compiles.append(formula)
+        return compile_formula(formula)
+
+    monkeypatch.setattr(cli, "compile_formula", counting_compile)
+    monkeypatch.setattr(synth, "compile_formula", counting_compile)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    dps, sched = tmp_path / "f.dps", tmp_path / "f.sched"
+    for argv, count in [
+        (["reduce-sat", "--cnf", str(cnf), "-k", "2", "-o", str(dps)], 1),
+        (["synth", "--artifact", str(dps), "--assign", "01", "-o", str(sched)], 1),
+        (["verify", str(dps), str(sched)], 0),
+        (["extract", "--artifact", str(dps), "--schedule", str(sched)], 1),
+    ]:
+        compiles.clear()
+        assert main(argv) == EX_OK
+        assert len(compiles) == count, argv[0]
+    assert capsys.readouterr().out.endswith("ok\n01\n")
 
 
 def test_refused_synth_compiles_nothing(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 
 from polysched.cli import EX_PARSE, main
 
-from polysched.core import DpsInstance, OpsInstance, PeriodicSchedule, heat, verify_dps, ops_to_dps
+from polysched.core import (
+    DpsInstance, OpsInstance, PeriodicSchedule, as_rational, heat, ops_to_dps, verify_dps,
+)
 from polysched.fileio import (
     ParseError,
     emit_instance,
@@ -192,6 +197,9 @@ MALFORMED = {
     "non-integer-endpoint": ("dps 3 2\n0 1 2\n1 b 2\n", None, "endpoints must be integers", 3),
     "growth-x": ("ops 3 2\n0 1 1\n1 2 x\n", None, "bad growth rate 'x'", 3),
     "growth-1/0": ("ops 3 2\n0 1 1/0\n1 2 1\n", None, "bad growth rate '1/0'", 2),
+    "growth-exponent": ("ops 3 2\n0 1 1\n1 2 1e4301\n", None, "bad growth rate '1e4301'", 3),
+    "growth-negative-exponent": ("ops 3 2\n0 1 1e-4301\n1 2 1\n", None,
+                                 "bad growth rate '1e-4301'", 2),
     "frequency-x": ("dps 3 1\n0 1 x\n", None, "bad frequency 'x'", 2),
     "frequency-1/2": ("dps 3 1\n0 1 1/2\n", None, "bad frequency '1/2'", 2),
     "token-before-rule": ("ops 3 2\n1 1 1\n0 1 x\n", None, "bad growth rate 'x'", 3),
@@ -235,6 +243,39 @@ def test_malformed_file_names_its_line(case, tmp_path, capsys):
     bad = instance if schedule_text is None else schedule
     assert main(["verify", str(instance), str(schedule)]) == EX_PARSE
     assert capsys.readouterr().err == f"error: {bad}: line {line}: {message}\n"
+
+
+# Fraction would expand these exponents exactly, for hours, in C code that
+# SIGALRM cannot interrupt; so the CLI runs in a subprocess with a timeout
+@pytest.mark.parametrize("token", ["1e999999999", "1e-999999999"])
+def test_huge_decimal_exponent_exits_65_at_its_line(token, tmp_path):
+    instance = tmp_path / "huge.ops"
+    instance.write_text(f"ops 3 2\n0 1 1\n1 2 {token}\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "polysched.cli", "bound", str(instance), "--method", "trivial"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == EX_PARSE
+    assert done.stderr == f"error: {instance}: line 3: bad growth rate {token!r}\n"
+
+
+def test_as_rational_bounds_the_decimal_exponent():
+    assert as_rational("1e4300") == 10 ** 4300
+    assert as_rational("2.5e-4300") == Fraction(25, 10 ** 4301)
+    for token in ("1e4301", "1E-4301"):
+        with pytest.raises(ValueError, match=f"^decimal exponent of '{token}' exceeds 4300$"):
+            as_rational(token)
+    script = ("from polysched.core import as_rational\n"
+              "for token in ('1e999999999', '1e-999999999'):\n"
+              "    try:\n"
+              "        as_rational(token)\n"
+              "    except ValueError as exc:\n"
+              "        print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.stdout == ("decimal exponent of '1e999999999' exceeds 4300\n"
+                           "decimal exponent of '1e-999999999' exceeds 4300\n")
 
 
 # derandomized, so every run checks the same examples

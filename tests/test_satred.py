@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from polysched.satred import (
 )
 from polysched.satred.build import (
     CompileError,
+    Port,
     _Builder,
     _validate,
     comparator_order,
@@ -39,7 +42,15 @@ from polysched.satred.gadgetcheck import (
     _swap_scenarios,
     _variable_scenarios,
 )
-from polysched.satred.tiling import PERIOD, SLOT, class_phases, phase_color
+from polysched.satred.tiling import (
+    PERIOD,
+    SLOT,
+    class_phases,
+    occ_mask,
+    phase_color,
+    solve,
+    solve_first,
+)
 
 
 def _reduction_digests(formula):
@@ -140,6 +151,175 @@ PINNED_SHAPES = [
 ]
 
 
+# the five formulas of the bound-and-reduce benchmark corpus (corpus seed 3,
+# one per clause count), restated here, as (num_vars, clauses, k, provenance
+# digest, per-assignment digests); the last compiles to 2,373 edges
+CORPUS_FORMULAS = [
+    (3, ((-3,),), 1,
+     "e8079f331f12a4714f07dd3b10a301bc67e49c33551135431d9873a943b64d2b", {
+         "000": ("809c7736d189f3da5a5fbfadad1fa84fbd9f3f5a459fcef99a8a9e79a0f17dff",
+                (False, False, False)),
+         "001": "assignment satisfies 0 < k=1 clauses",
+         "010": ("5f0516d4225692bf2a5861bfacd19cd0ffa642222c2ec229c9107042e0f30ce5",
+                (False, True, False)),
+         "011": "assignment satisfies 0 < k=1 clauses",
+         "100": ("eeeafc2007c4e40c7a01abd970efd577a77855b1dee59c652847805613176936",
+                (True, False, False)),
+         "101": "assignment satisfies 0 < k=1 clauses",
+         "110": ("ee06450a67c348d5c0f5579f3cd74a2757a71302083fc140a5b75cda64fec777",
+                (True, True, False)),
+         "111": "assignment satisfies 0 < k=1 clauses",
+     }),
+    (4, ((-4, -3, 1), (-2, -1, 4)), 0,
+     "3ddb63dd2266e42999872b1b453838e6d78bef1f469bb83c0a18ab7e4f639085", {
+         "0000": ("a9cdbb1d0d5fb6b42d67f85f2141e1c678b6a49b7dde413688b9e10c419d6cb2",
+                (False, False, False, False)),
+         "0001": ("eae5d2c0b8d443341016f5dbfce0ddc2c97c28f6162206e59a7a8cac335885cc",
+                (False, False, False, True)),
+         "0010": ("2a87537e8fa1e0958e5ab06601a9e5fc4353eb5f841c068cb43f7b95fa0f4c8c",
+                (False, False, True, False)),
+         "0011": ("3e47ecdba52cf5b85be85d87e152e99fff5a0c4df3b8cf27316e9cff3aeb6b34",
+                (False, False, True, True)),
+         "0100": ("3a629120200aaec7d18d5e8be2402aff9d26c5fc640362333100807163483ed9",
+                (False, True, False, False)),
+         "0101": ("971d3b53ed477713b1ee24e57e75528056b4616845517e90f2daa84660b6f68b",
+                (False, True, False, True)),
+         "0110": ("48d64b78c9eeba47d9433cad01a59f21db3d257ae017bbf1a458de32940e4f56",
+                (False, True, True, False)),
+         "0111": ("6f15386aed7325fb758b631c4394a34b94af5c123a7fdc2e16a8af4e8784f877",
+                (False, True, True, True)),
+         "1000": ("624bcf1274b1ffc2ba4e1cfad1d904214e4516e78ccca738a4ebd44a85a8815c",
+                (True, False, False, False)),
+         "1001": ("29bed010b38ff69e2575f68c5702a58504aebf20ddccf87d85890127e75a04a5",
+                (True, False, False, True)),
+         "1010": ("18e36ba2e1272d58b39058a188d2e4fda7219b10e4010a322b06193c28c70ff5",
+                (True, False, True, False)),
+         "1011": ("c8bf0a7a2200c8efb99f2e642da0a98ceb389c1dc87f07c5c69726b98e1223dd",
+                (True, False, True, True)),
+         "1100": ("b546062bbc7aa610b3aea33e403c08d6f8afa0b767d1ef8099c9fe11f423074c",
+                (True, True, False, False)),
+         "1101": ("6f041a46c522c55896b94a6224d6a59b9437967c9acce76a1cac14389f6f121b",
+                (True, True, False, True)),
+         "1110": ("b4de3b3a4d64d8f3d17f32ed33ebdfcfe64fbb0d49ec0504bb833e4ac40904cb",
+                (True, True, True, False)),
+         "1111": ("2280f612016df73c46ba51b21ecfeeec16546cc495c64435270f961c64f13f2d",
+                (True, True, True, True)),
+     }),
+    (3, ((3,), (2, -1, 3), (2,)), 3,
+     "a8867dd4beaecd85495d582407007f90577c22058a02ac348757659c1a1ac70a", {
+         "000": "assignment satisfies 1 < k=3 clauses",
+         "001": "assignment satisfies 2 < k=3 clauses",
+         "010": "assignment satisfies 2 < k=3 clauses",
+         "011": ("48c194051cafacce57bdb9d59659b7e5b0099a8f6fc793f280c8edbba8f03b86",
+                (False, True, True)),
+         "100": "assignment satisfies 0 < k=3 clauses",
+         "101": "assignment satisfies 2 < k=3 clauses",
+         "110": "assignment satisfies 2 < k=3 clauses",
+         "111": ("15210c6859ae88989409255ba7250d3c2aae9f5d0eb069960e34471eb7ad8b55",
+                (True, True, True)),
+     }),
+    (4, ((-4, 2, 3), (2,), (-4, 3), (-3, -4)), 2,
+     "6e7d3dcd70db52ce9b79f104d9e560a70ed13bb5d08ed09f92ce458d66043956", {
+         "0000": ("706f1f68fd8e6ba95c08b8ebeb735e04f8776117f2cbcf4c9bc58eada5ef9f9e",
+                (False, False, False, False)),
+         "0001": "assignment satisfies 1 < k=2 clauses",
+         "0010": ("2de40ef3059c3cf5e40cf510662f78aa529479531e4ed111fac9394dbfbf5dec",
+                (False, False, True, False)),
+         "0011": ("cc7f50f38792b10c53f27709289b85dae71d5eb9778593c361090b4b6cc7280c",
+                (False, False, True, True)),
+         "0100": ("7955aee6000c7f82bdb0da9d651b8516fa5bdf93a1f81e299e6840bd79108e1f",
+                (False, True, False, False)),
+         "0101": ("0c929697463fdf350051eb395b5877b0f62c2a2f0ca5cfa82a1109ff2261971a",
+                (False, True, False, True)),
+         "0110": ("b1f0eb100c439fbe3e3a8421af8ec252040be80ee9214fefb9516fd5445c32f2",
+                (False, True, True, False)),
+         "0111": ("21bf275f9cab027602df261c55ab4f98501c806a0cf82d50469435d63fa18add",
+                (False, True, True, True)),
+         "1000": ("9f417a99b09ba9565d63c80c119749241c7649b40ea6c2689ce074b80185a312",
+                (True, False, False, False)),
+         "1001": "assignment satisfies 1 < k=2 clauses",
+         "1010": ("a591577fdaf4413781fb12e9f51ba59c1c665f7f3ed2692eb330349537ab27ca",
+                (True, False, True, False)),
+         "1011": ("ee04b6854f6e15247e9f8ea6a0b1ee9d6ec617964635b983c2b675c25a94aee2",
+                (True, False, True, True)),
+         "1100": ("fd00ecb0a49c66a5bb1e60a5245169b6e6def43c1282a15804ecfc8cbf25645b",
+                (True, True, False, False)),
+         "1101": ("46aa449b740386ce2f87b9f1457bcd99c29257a8ab26c4a827056843fabb1696",
+                (True, True, False, True)),
+         "1110": ("c4f5dfb1a072785888cc6000f1a0eeb1b2c9861708feebc7d81450df42b6c360",
+                (True, True, True, False)),
+         "1111": ("bd3341c4ef893f7e94b248f5af5c557d99853e7090cb282d497b0a7796d762c4",
+                (True, True, True, True)),
+     }),
+    (3, ((-1, 2, -3), (-3, -1, 2), (1,), (-2, 1, 3), (-2, 3)), 4,
+     "59543a8cbbb25ae79a8c7da0c26cb7ab7816137e91331098a62b914a5a58e8cf", {
+         "000": ("597ca46ffb000890f28aa4fdf96736c5b096a86f1703608c124403f675e1fb7d",
+                (False, False, False)),
+         "001": ("6aab6a8cd448e7b6f95b70fc077b3c856ef06e2d3da5e7e1d579a7267e39e458",
+                (False, False, True)),
+         "010": "assignment satisfies 2 < k=4 clauses",
+         "011": ("52caa060391b5422f585359fb9ae87c5a1fab2330fad94a6e2b503a6c115b3a1",
+                (False, True, True)),
+         "100": ("54a4c799ac19297122a5eb7813013ed427fe6d7bf50b0e738b6336e6a27b89ec",
+                (True, False, False)),
+         "101": "assignment satisfies 3 < k=4 clauses",
+         "110": ("6a687db474bac310a95411da898584a953c23bce576660aecc704dfc24dc2d88",
+                (True, True, False)),
+         "111": ("37a5486f9e70d36400cf80391df9411ab450bc200639f55a19d302188f171b08",
+                (True, True, True)),
+     }),
+]
+
+SHAPE_IDS = ["two-tensions", "k-zero", "one-clause", "two-row-chain"]
+
+# sha256 of each pinned formula's compiled artifact beyond its provenance
+# (`_artifact_digest`)
+ARTIFACT_DIGESTS = {
+    "demo": "d73f99f7689fa1d193b2e0650e8f17c9209dedf38954630821253a418d07f00c",
+    "two-tensions": "94eeb280548cd1054bfff0b209e068c02b27899b03cf147f468e4c2ef4ea0bc1",
+    "k-zero": "35089f0b6a00c660f8b4dd3a3c065b019ffbacf7bc0f47a3a870e199a5a9130d",
+    "one-clause": "1567b58ecddb7c3680ce7415abcf67fb32121c35522f088cfc837376052ad64a",
+    "two-row-chain": "89af0be3314b3c70d0693565227cd80fdbaf794d2a51e2f5167a760a92d579e2",
+    "corpus-1": "8e9fa8543085ad47efedb41174d83e7b171e7d59378fc5e95618c4b1619caedf",
+    "corpus-2": "3ad8322b7a391eb98c702351ae4e80edb150fd91304f07c290e709782ec9e83e",
+    "corpus-3": "248f58312fbbce6a8d2f99dabac16fdcc1f5a844725814cb299fa9cfa63a24bd",
+    "corpus-4": "c52ef8aaa19bfe21b7bdcfae4b34877c10f402c322b61e3c2e36d87ce187f606",
+    "corpus-5": "bbeeeba0ca6517920779a822b4b481bb1bad4f0b05cb240001e680f9c2afff10",
+}
+
+
+def _pinned_formula(name):
+    if name == "demo":
+        return demo_formula()
+    specs = dict(zip(SHAPE_IDS, PINNED_SHAPES))
+    specs.update((f"corpus-{i}", spec) for i, spec in enumerate(CORPUS_FORMULAS, start=1))
+    num_vars, clauses, k = specs[name][:3]
+    return CnfFormula(num_vars, clauses, k)
+
+
+def _artifact_digest(art):
+    """sha256 over every edge's colour, role and layer; every gadget's kind,
+    persons, edges and meta; the person labels and density-1 flags; and the
+    artifact's tables of clock, value, comparator, clause and channel edges."""
+    def plain(x):
+        if isinstance(x, Port):
+            return [x.person, x.gid, x.name]
+        if isinstance(x, dict):
+            return [[plain(k), plain(v)] for k, v in x.items()]
+        if isinstance(x, (list, tuple)):
+            return [plain(v) for v in x]
+        return x
+
+    parts = [
+        [(r.color, r.role, r.layer) for r in art.edge_recs],
+        [(g.kind, g.persons, g.edges, g.meta) for g in art.gadgets],
+        art.person_labels, art.density1,
+        art.clock_edges, art.var_value_edges, art.comparators, art.clause_out,
+        art.channel_of_edge,
+    ]
+    return hashlib.sha256(json.dumps(plain(parts)).encode()).hexdigest()
+
+
 def formula_family():
     return small_formula_family()
 
@@ -217,7 +397,10 @@ class TestCompile:
         ((("a", False), ("b", False), ("c", False)), (5, 3),
          "emitted a frequency outside {3, 6, 9, 12}"),
         ((("Pendant0.p", False), ("b", False), ("c", False), ("d", False)), (3, 3, 3),
-         "pendant Pendant0.p overloaded"),
+         "non-density-1 person Pendant0.p has load 1"),
+        # a spare that is not a pendant is held to the same limit
+        ((("OR0.i0", False), ("b", False), ("c", False), ("d", False), ("e", False)),
+         (3, 3, 6, 6), "non-density-1 person OR0.i0 has load 1"),
     ])
     def test_validate_rejects(self, persons, freqs, message):
         b = _Builder(CnfFormula(0, (), 0))
@@ -308,10 +491,21 @@ class TestSynthesis:
             })
 
     @pytest.mark.parametrize("num_vars, clauses, k, provenance, schedules", PINNED_SHAPES,
-                             ids=["two-tensions", "k-zero", "one-clause", "two-row-chain"])
+                             ids=SHAPE_IDS)
     def test_reduction_shapes_are_pinned(self, num_vars, clauses, k, provenance, schedules):
         formula = CnfFormula(num_vars, clauses, k)
         assert _reduction_digests(formula) == (provenance, schedules)
+
+    @pytest.mark.parametrize("num_vars, clauses, k, provenance, schedules", CORPUS_FORMULAS,
+                             ids=[f"corpus-{i}" for i in range(1, 6)])
+    def test_corpus_reductions_are_pinned(self, num_vars, clauses, k, provenance, schedules):
+        formula = CnfFormula(num_vars, clauses, k)
+        assert _reduction_digests(formula) == (provenance, schedules)
+
+    @pytest.mark.parametrize("name", list(ARTIFACT_DIGESTS))
+    def test_compiled_artifact_is_pinned(self, name):
+        art = compile_formula(_pinned_formula(name))
+        assert _artifact_digest(art) == ARTIFACT_DIGESTS[name]
 
     def test_extraction_requires_valid_schedule(self):
         art = compile_formula(demo_formula())
@@ -368,6 +562,39 @@ class TestTiling:
             assert class_phases(freq, color) == tuple(
                 p for p in range(freq) if keeps_to(p, color))
         assert class_phases(freq, None) == tuple(range(freq))
+
+    @pytest.mark.parametrize("base_masks", [
+        [occ_mask(3, 0), 0, 0, occ_mask(12, 5)],
+        {0: occ_mask(3, 0), 1: 0, 2: 0, 3: occ_mask(12, 5)},
+        [(1 << PERIOD) - 1, 0, 0, 0],  # person 0 booked every day: no solution
+    ], ids=["list", "dict", "unsolvable"])
+    def test_solve_matches_brute_force_and_keeps_base_masks(self, base_masks):
+        # a triangle of 6- and 12-day edges on persons 0-2, and a 12-day edge 2-3
+        variables = [("ab", 6, (0, 2, 4, 5)), ("bc", 12, tuple(range(12))),
+                     ("ca", 6, tuple(range(6))), ("cd", 12, (5, 3, 1))]
+        endpoints = {"ab": (0, 1), "bc": (1, 2), "ca": (2, 0), "cd": (2, 3)}
+        before = copy.deepcopy(base_masks)
+
+        def disjoint(phases):
+            masks = [base_masks[p] for p in range(4)]
+            for (key, freq, _), phase in zip(variables, phases):
+                mask = occ_mask(freq, phase)
+                for p in endpoints[key]:
+                    if masks[p] & mask:
+                        return False
+                    masks[p] |= mask
+            return True
+
+        brute = [dict(zip(endpoints, phases))
+                 for phases in itertools.product(*(domain for _, _, domain in variables))
+                 if disjoint(phases)]
+        solutions = list(solve(variables, endpoints, base_masks))
+        assert base_masks == before
+        assert sorted(map(sorted, map(dict.items, solutions))) == \
+            sorted(map(sorted, map(dict.items, brute)))
+        first = solve_first(variables, endpoints, base_masks)
+        assert base_masks == before
+        assert first == (solutions[0] if solutions else None)
 
 
 class TestGadgetChecks:
