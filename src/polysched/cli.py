@@ -42,8 +42,10 @@ from .satred import (
     DeferredArtifact,
     SynthesisRefused,
     compile_formula,
+    emit_sidecar,
     extract_assignment,
     parse_dimacs,
+    parse_sidecar,
     synthesize_schedule,
 )
 
@@ -205,48 +207,33 @@ def cmd_bound(args) -> int:
     return EX_OK
 
 
-def _formula_from_sidecar(path: str) -> CnfFormula:
-    """The formula of a `reduce-sat` sidecar, read from its leading `#` lines
-    (`# cnf n m k`, then one `# clause ...` per clause); the provenance lines
-    after them are not read."""
-    text = _read(path)
-    end = 0  # end of the leading '#' lines
-    while text.startswith("#", end):
-        end = text.find("\n", end) + 1 or len(text)
-    lines = text[:end].splitlines()
-    header = [ln for ln in lines if ln.startswith("# cnf ")]
-    if not header:
-        raise CliError(f"{path}: missing '# cnf' header", EX_PARSE)
+def _load_sidecar(path: str) -> CnfFormula:
     try:
-        n_vars, m, k = map(int, header[0].split()[2:])
-        clauses = [tuple(int(x) for x in ln.split()[2:])
-                   for ln in lines if ln.startswith("# clause ")]
-        formula = CnfFormula(n_vars, tuple(clauses), k)
+        return parse_sidecar(_read(path))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}", EX_PARSE) from exc
-    if len(clauses) != m:
-        raise CliError(f"{path}: clause count mismatch", EX_PARSE)
-    return formula
 
 
 def cmd_reduce_sat(args) -> int:
     try:
-        formula = parse_dimacs(_read(args.cnf), k=args.k)
+        formula = parse_dimacs(_read(args.cnf))
     except ValueError as exc:
         raise CliError(f"{args.cnf}: {exc}", EX_PARSE) from exc
+    if args.k is not None:
+        if not 0 <= args.k <= formula.num_clauses:
+            raise CliError(f"-k {args.k} is outside 0..{formula.num_clauses}, "
+                           f"the clause count of {args.cnf}", EX_USAGE)
+        formula = CnfFormula(formula.num_vars, formula.clauses, args.k)
     artifact = compile_formula(formula)
     _write(args.output, emit_instance(artifact.dps))
-    sidecar = [f"# cnf {formula.num_vars} {formula.num_clauses} {formula.k}"]
-    sidecar += [f"# clause {' '.join(str(l) for l in c)}" for c in formula.clauses]
-    sidecar += artifact.provenance_lines()
-    _write(args.output + ".prov", "\n".join(sidecar) + "\n")
+    _write(args.output + ".prov", emit_sidecar(artifact))
     print(f"compiled: {artifact.dps.n} persons, {artifact.dps.m} edges, "
           f"max frequency {artifact.dps.max_freq}")
     return EX_OK
 
 
 def cmd_synth(args) -> int:
-    formula = _formula_from_sidecar(args.artifact + ".prov")
+    formula = _load_sidecar(args.artifact + ".prov")
     bits = args.assign.strip()
     if len(bits) != formula.num_vars or set(bits) - {"0", "1"}:
         raise CliError("--assign must be a 0/1 string, one bit per variable", EX_USAGE)
@@ -263,7 +250,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    artifact = compile_formula(_formula_from_sidecar(args.artifact + ".prov"))
+    artifact = compile_formula(_load_sidecar(args.artifact + ".prov"))
     schedule = _load_schedule(artifact.dps, args.schedule)
     values = extract_assignment(artifact, schedule)
     print("".join("1" if v else "0" for v in values))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from ..core import OpsInstance, dps_to_ops
 from .build import CompileError, ReductionArtifact, compile_formula
-from .cnf import CnfFormula, emit_dimacs, demo_formula, max3sat_oracle, parse_dimacs
+from .cnf import (CnfFormula, demo_formula, emit_dimacs, emit_sidecar, max3sat_oracle,
+                  parse_dimacs, parse_sidecar)
 from .gadgetcheck import GADGET_KINDS, GadgetVerdict, check_all_gadgets, gadget_local_check
 from .synth import (
     DeferredArtifact,
@@ -38,11 +39,13 @@ __all__ = [
     "check_all_gadgets",
     "compile_formula",
     "emit_dimacs",
+    "emit_sidecar",
     "extract_assignment",
     "demo_formula",
     "gadget_local_check",
     "gap_instance",
     "max3sat_oracle",
     "parse_dimacs",
+    "parse_sidecar",
     "synthesize_schedule",
 ]

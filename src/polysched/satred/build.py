@@ -17,7 +17,7 @@ fresh pendant persons, pool by pool in the table's order.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -116,9 +116,6 @@ class ReductionArtifact:
     comparators: list[tuple[int, int]]  # (pair c, swap gid) in execution order
     clause_out: list[int]  # OR gadget gid per clause
     channel_of_edge: dict[int, int]  # channel-carrying edge -> channel index
-
-    def gadget(self, gid: int) -> GadgetRec:
-        return self.gadgets[gid]
 
     def provenance_lines(self) -> list[str]:
         out = []
@@ -234,15 +231,9 @@ def _plan(formula: CnfFormula) -> dict:
     n_b12 = max(demand["B12"].values())
     n_g12 = max(demand["G12"].values())
 
-    pos = {i: 0 for i in range(1, formula.num_vars + 1)}
-    neg = {i: 0 for i in range(1, formula.num_vars + 1)}
-    for clause in formula.clauses:
-        for lit in clause:
-            (pos if lit > 0 else neg)[abs(lit)] += 1
-    lit_rows = {}
-    for i in range(1, formula.num_vars + 1):
-        for pol, count in ((1, pos[i]), (-1, neg[i])):
-            lit_rows[(i, pol)] = 0 if count <= 1 else -(-count // 3)
+    uses = Counter(lit for clause in formula.clauses for lit in clause)
+    lit_rows = {(i, pol): 0 if uses[i * pol] <= 1 else -(-uses[i * pol] // 3)
+                for i in range(1, formula.num_vars + 1) for pol in (1, -1)}
 
     lr, lb, kp = 1, 1, 1  # R3-chain rows, B3-chain rows, 6P-duplicator layers
     for _ in range(64):
@@ -264,14 +255,12 @@ def _plan(formula: CnfFormula) -> dict:
         lr, lb, kp = max(lr, lr2), max(lb, lb2), max(kp, kp2)
     else:
         raise CompileError("chain sizing did not converge")
-    return {
-        "w": w, "t": t, "fills": fills, "n_b6": n_b6, "n_b12": n_b12,
-        "n_g12": n_g12, "pos": pos, "neg": neg, "lit_rows": lit_rows,
-        "lr": lr, "lb": lb, "kp": kp,
-    }
+    return {"n_b6": n_b6, "n_b12": n_b12, "n_g12": n_g12, "lit_rows": lit_rows,
+            "lr": lr, "lb": lb, "kp": kp}
 
 
-def _build_variables(b: _Builder) -> GadgetRec:
+def _build_variables(b: _Builder) -> tuple[GadgetRec, list[GadgetRec]]:
+    """The clock and the Variable gadgets, padding variables last."""
     layer = "variable"
     clock = b.gadget("TrueClock", layer)
     t_person = b.person("T", True)
@@ -280,8 +269,10 @@ def _build_variables(b: _Builder) -> GadgetRec:
     b.produce("B3", clock, "b3", t_person)
     b.produce("P6", clock, "p6", t_person)
     prev_g, prev_name, prev_person = clock, "g6", t_person
+    variables = []
     for i in range(1, b.n_padded + 1):
         g = b.gadget("Variable", layer, var=i)
+        variables.append(g)
         x = b.person(f"x{i}", True)
         g.persons["x"] = x
         color = "G" if i % 2 == 1 else "P"
@@ -291,7 +282,7 @@ def _build_variables(b: _Builder) -> GadgetRec:
         prev_g, prev_name, prev_person = g, "chain_out", x
     # the final (even-indexed) variable's forward output is green
     b.produce("G6", prev_g, prev_name, prev_person)
-    return clock
+    return clock, variables
 
 
 def _pool_key(signal: tuple) -> tuple[str, object]:
@@ -540,7 +531,7 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
     """Build the polycule that is schedulable iff >= k clauses are satisfiable."""
     plan = _plan(formula)
     b = _Builder(formula)
-    clock = _build_variables(b)
+    clock, variables = _build_variables(b)
 
     # constant supply, in an order that keeps every pool ahead of demand
     r3_chain = _start_d3_chain(b, ("const", "R3"), "duplication")
@@ -610,11 +601,6 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
     dps = DpsInstance(len(b.labels), tuple(b.pairs), tuple(b.freqs))
     _validate(b, dps)
 
-    var_value_edges = []
-    for i in range(1, formula.num_vars + 1):
-        gvar = next(g for g in b.gadgets if g.kind == "Variable" and g.meta["var"] == i)
-        var_value_edges.append({"R": gvar.edges["valR"], "B": gvar.edges["valB"]})
-
     clock_edges = {
         "R": clock.edges["r3"],
         "B": clock.edges["b3"],
@@ -629,7 +615,8 @@ def compile_formula(formula: CnfFormula) -> ReductionArtifact:
         person_labels=b.labels,
         density1=b.density1,
         clock_edges=clock_edges,
-        var_value_edges=var_value_edges,
+        var_value_edges=[{"R": g.edges["valR"], "B": g.edges["valB"]}
+                         for g in variables[:formula.num_vars]],
         comparators=comparators,
         clause_out=[g.gid for g in or_gadgets],
         channel_of_edge=b.channel_of_edge,

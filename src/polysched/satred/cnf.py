@@ -1,4 +1,5 @@
-"""3-CNF formulas with a satisfied-clause threshold, DIMACS I/O, brute-force oracle.
+"""3-CNF formulas with a satisfied-clause threshold, DIMACS and `.prov` sidecar
+I/O, brute-force oracle.
 
 Literals are nonzero ints: +i for x_i, -i for its negation (1-based, DIMACS
 style). The threshold k asks whether some assignment satisfies at least k
@@ -65,7 +66,10 @@ def max3sat_oracle(formula: CnfFormula) -> int:
 
 
 def parse_dimacs(text: str, k: int | None = None) -> CnfFormula:
-    """Standard DIMACS CNF; threshold defaults to the clause count."""
+    """Standard DIMACS CNF; threshold defaults to the clause count.
+
+    Raises ValueError, prefixed `line N: ` when one line is at fault.
+    """
     num_vars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
@@ -74,14 +78,18 @@ def parse_dimacs(text: str, k: int | None = None) -> CnfFormula:
         line = raw.strip()
         if not line or line.startswith("c") or line.startswith("%"):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed problem line {line!r}")
-            num_vars, declared = int(parts[2]), int(parts[3])
-            continue
-        for tok in line.split():
-            lit = int(tok)
+        try:
+            if line.startswith("p"):
+                parts = line.split()
+                if len(parts) != 4 or parts[1] != "cnf":
+                    raise ValueError(f"malformed problem line {line!r}")
+                num_vars, declared = int(parts[2]), int(parts[3])
+                problem_line = lineno
+                continue
+            lits = [int(tok) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+        for lit in lits:
             if lit == 0:
                 if current:
                     clauses.append(tuple(current))
@@ -92,8 +100,9 @@ def parse_dimacs(text: str, k: int | None = None) -> CnfFormula:
         clauses.append(tuple(current))
     if num_vars is None:
         raise ValueError("missing 'p cnf' problem line")
-    if declared is not None and declared != len(clauses):
-        raise ValueError(f"declared {declared} clauses, found {len(clauses)}")
+    if declared != len(clauses):
+        raise ValueError(f"line {problem_line}: declared {declared} clauses, "
+                         f"found {len(clauses)}")
     if k is None:
         k = len(clauses)
     return CnfFormula(num_vars, tuple(clauses), k)
@@ -104,6 +113,42 @@ def emit_dimacs(formula: CnfFormula) -> str:
     for c in formula.clauses:
         lines.append(" ".join(str(lit) for lit in c) + " 0")
     return "\n".join(lines) + "\n"
+
+
+def emit_sidecar(artifact) -> str:
+    """The `.prov` sidecar of a compiled reduction: `# cnf n m k`, one
+    `# clause ...` line per clause, then `artifact.provenance_lines()`."""
+    formula = artifact.formula
+    lines = [f"# cnf {formula.num_vars} {formula.num_clauses} {formula.k}"]
+    lines += [f"# clause {' '.join(map(str, c))}" for c in formula.clauses]
+    lines += artifact.provenance_lines()
+    return "\n".join(lines) + "\n"
+
+
+def parse_sidecar(text: str) -> CnfFormula:
+    """The formula of a `.prov` sidecar, read from its leading `#` lines only.
+
+    Raises ValueError, prefixed `line N: ` when one line is at fault.
+    """
+    end = 0  # end of the leading '#' lines
+    while text.startswith("#", end):
+        end = text.find("\n", end) + 1 or len(text)
+    lines = list(enumerate(text[:end].splitlines(), 1))
+    header = next((line for line in lines if line[1].startswith("# cnf ")), None)
+    if header is None:
+        raise ValueError("missing '# cnf' header")
+    lineno, clauses = header[0], []
+    try:
+        n_vars, m, k = map(int, header[1].split()[2:])
+        for lineno, line in lines:
+            if line.startswith("# clause "):
+                clauses.append(tuple(map(int, line.split()[2:])))
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from exc
+    formula = CnfFormula(n_vars, tuple(clauses), k)
+    if len(clauses) != m:
+        raise ValueError(f"line {header[0]}: clause count mismatch")
+    return formula
 
 
 def demo_formula(k: int = 3) -> CnfFormula:

@@ -67,22 +67,19 @@ class _Model:
         self.edges.append((name, a, b, freq, class_phases(freq, color)))
 
     def enumerate(self):
-        variables = [(name, freq, domain) for name, _, _, freq, domain in self.edges]
-        endpoints = {name: (a, b) for name, a, b, _, _ in self.edges}
-        freqs = {name: freq for name, _, _, freq, _ in self.edges}
+        """Every local schedule, as edge name -> slot colour (None off every class)."""
         out = []
-        idle = {p: 0 for pair in endpoints.values() for p in pair}
-        for sol in solve(variables, endpoints, idle):
-            colored = {name: (phase, phase_color(freqs[name], phase))
-                       for name, phase in sol.items()}
-            out.append(colored)
+        idle = {p: 0 for _, a, b, _, _ in self.edges for p in (a, b)}
+        for sol in solve(self.edges, idle):
+            out.append({name: phase_color(freq, sol[name])
+                        for name, _, _, freq, _ in self.edges})
             if len(out) > _ENUMERATION_BUDGET:
                 raise RuntimeError("gadget enumeration exceeded its budget")
         return out
 
 
 def _colors(solutions, name):
-    return {sol[name][1] for sol in solutions}
+    return {sol[name] for sol in solutions}
 
 
 def _check(cond: bool, msg: str) -> str | None:
@@ -123,7 +120,7 @@ def _variable_scenarios():
     model.edge("p6", "x", None, 6, "P")
 
     def both_orders(sols):
-        forms = {(sol["valR"][1], sol["valB"][1]) for sol in sols}
+        forms = {(sol["valR"], sol["valB"]) for sol in sols}
         return _check(forms == {("R", "B"), ("B", "R")},
                       f"value edges must split red/blue both ways, got {forms}")
 
@@ -192,7 +189,7 @@ def _d12_scenarios():
 
     def same_color(sols):
         for sol in sols:
-            cols = {sol[nm][1] for nm in ("in", "oprime", "out1", "out2")}
+            cols = {sol[nm] for nm in ("in", "oprime", "out1", "out2")}
             if len(cols) != 1 or cols & {"R", "P", None}:
                 return f"12-day edges split colors: {sorted(map(str, cols))}"
         return None
@@ -345,7 +342,7 @@ def _swap_scenarios():
         def comparator_case(sols, c1=c1, c2=c2):
             want_or = "B" if "B" in (c1, c2) else "G"
             want_and = "B" if (c1, c2) == ("B", "B") else "G"
-            hit = any(sol["out_or"][1] == want_or and sol["out_and"][1] == want_and
+            hit = any(sol["out_or"] == want_or and sol["out_and"] == want_and
                       for sol in sols)
             return _check(hit, f"comparator outcome ({want_or},{want_and}) unreachable")
 

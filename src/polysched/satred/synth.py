@@ -12,7 +12,6 @@ solves in construction order.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 from ..core import PeriodicSchedule, verify_dps
@@ -40,29 +39,19 @@ class DeferredArtifact:
         return compile_formula(self.formula)
 
 
-def _check_assignment(formula: CnfFormula, assignment) -> list[int]:
-    """Indices of the clauses the assignment satisfies; refuses below k."""
-    satisfied = formula.satisfied_clauses(assignment)
-    if len(satisfied) < formula.k:
-        raise SynthesisRefused(
-            f"assignment satisfies {len(satisfied)} < k={formula.k} clauses"
-        )
-    return satisfied
-
-
-def simulate_channels(artifact: ReductionArtifact, assignment) -> dict[int, str]:
+def simulate_channels(artifact: ReductionArtifact, satisfied: list[int]) -> dict[int, str]:
     """Color (B/G) of every channel-carrying edge under the canonical synthesis.
 
-    The lexicographically first k satisfied clauses go blue; comparators act
-    as boolean or/and on blue, so blues bubble to the left channels.
+    satisfied lists the satisfied clauses in order, at least k of them. The
+    first k go blue; comparators act as boolean or/and on blue, so blues
+    bubble to the left channels.
     """
     formula = artifact.formula
-    satisfied = _check_assignment(formula, assignment)
     chosen = set(satisfied[: formula.k])
     colors: dict[int, str] = {}
     channel_state: list[tuple[GadgetRec, str, str]] = []
     for j, gid in enumerate(artifact.clause_out):
-        g = artifact.gadget(gid)
+        g = artifact.gadgets[gid]
         channel_state.append((g, "out", "B" if j in chosen else "G"))
 
     def land(g: GadgetRec, port_name: str, color: str) -> None:
@@ -70,7 +59,7 @@ def simulate_channels(artifact: ReductionArtifact, assignment) -> dict[int, str]
         colors[g.edges[port_name]] = color
 
     for pair_c, gid in artifact.comparators:
-        swap = artifact.gadget(gid)
+        swap = artifact.gadgets[gid]
         g1, n1, c1 = channel_state[pair_c - 1]
         g2, n2, c2 = channel_state[pair_c]
         land(g1, n1, c1)
@@ -93,10 +82,13 @@ def synthesize_schedule(artifact: ReductionArtifact | DeferredArtifact,
     Refusal reads only the formula, so a DeferredArtifact is compiled only
     for an assignment that passes it.
     """
+    formula = artifact.formula
+    satisfied = formula.satisfied_clauses(assignment)
+    if len(satisfied) < formula.k:
+        raise SynthesisRefused(f"assignment satisfies {len(satisfied)} < k={formula.k} clauses")
     if isinstance(artifact, DeferredArtifact):
-        _check_assignment(artifact.formula, assignment)
         artifact = artifact.artifact
-    channel_colors = simulate_channels(artifact, assignment)
+    channel_colors = simulate_channels(artifact, satisfied)
     dps = artifact.dps
     edges, freq = dps.edges, dps.freq
     masks = [0] * dps.n  # committed days of each person, one bit per day
@@ -131,16 +123,12 @@ def synthesize_schedule(artifact: ReductionArtifact | DeferredArtifact,
     solve_order = [g for g in artifact.gadgets if g.kind not in deferred]
     solve_order += [g for g in artifact.gadgets if g.kind in deferred]
     for g in solve_order:
-        free = []
-        endpoints = {}
-        for e in g.edges.values():
-            if committed[e] or e in endpoints:
-                continue
-            free.append((e, freq[e], domains[e]))
-            endpoints[e] = edges[e]
+        # an edge between two ports of g is listed under both
+        free = {e: (e, *edges[e], freq[e], domains[e])
+                for e in g.edges.values() if not committed[e]}
         if not free:
             continue
-        sol = solve_first(free, endpoints, masks)
+        sol = solve_first(free.values(), masks)
         if sol is None:
             raise SynthesisError(f"no local schedule for {g.name}")
         commit(sol.items())
@@ -163,7 +151,7 @@ def _literal_red(artifact: ReductionArtifact, rec, assignment) -> bool:
     literal duplication chain; a padding variable, beyond the formula's
     variables, reads as True.
     """
-    src = artifact.gadget(rec.src_gid)
+    src = artifact.gadgets[rec.src_gid]
     if src.kind == "Variable":
         var, pol = src.meta["var"], 1 if rec.src_port == "valR" else -1
     elif src.kind == "D3" and src.meta["signal"][0] == "lit":
@@ -208,11 +196,6 @@ class ExtractionError(ValueError):
     pass
 
 
-def _occurrence_days(occ: list[int], period: int, horizon: int) -> list[int]:
-    """The days below horizon, a multiple of period, of an edge meeting on days occ."""
-    return [d + k for k in range(0, horizon, period) for d in occ]
-
-
 def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) -> tuple[bool, ...]:
     """Read the variable values out of any valid schedule of the polycule.
 
@@ -224,14 +207,15 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
     violation = verify_dps(artifact.dps, schedule)
     if violation is not None:
         raise ExtractionError(f"schedule invalid: {violation}")
-    period = schedule.period
-    horizon = math.lcm(period, 6)
+    # a period 6 does not divide moves the clock's 6-day edges to another
+    # residue mod 6 in the next period, so no rotation aligns them; a period
+    # 6 divides repeats every residue mod 3 and mod 6, so one period shows all
+    if schedule.period % 6:
+        raise ExtractionError("no rotation aligns the clock to the slot classes")
     occ = schedule.occurrence_lists(artifact.dps.m)
 
-    clock_days = {c: _occurrence_days(occ[e], period, horizon)
-                  for c, e in artifact.clock_edges.items()}
     rotation = next((r for r in range(6) if all(
-        (d - r) % SLOT[c][1] == SLOT[c][0] for c, days in clock_days.items() for d in days
+        (d - r) % SLOT[c][1] == SLOT[c][0] for c, e in artifact.clock_edges.items() for d in occ[e]
     )), None)
     if rotation is None:
         raise ExtractionError("no rotation aligns the clock to the slot classes")
@@ -240,7 +224,7 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
         if rec.color is None:
             continue
         want, mod = SLOT[rec.color]
-        for d in _occurrence_days(occ[rec.index], period, horizon):
+        for d in occ[rec.index]:
             if (d - rotation) % mod != want:
                 raise ExtractionError(
                     f"edge {rec.index} ({rec.role}) leaves its {rec.color} slots; "
@@ -250,8 +234,7 @@ def extract_assignment(artifact: ReductionArtifact, schedule: PeriodicSchedule) 
     values = []
     red, mod = SLOT["R"]  # a value edge keeps to red or to blue slots, both mod 3
     for i, pair in enumerate(artifact.var_value_edges, start=1):
-        days = _occurrence_days(occ[pair["R"]], period, horizon)
-        residues = {(d - rotation) % mod for d in days}
+        residues = {(d - rotation) % mod for d in occ[pair["R"]]}
         if residues == {red}:
             values.append(True)
         elif residues == {SLOT["B"][0]}:

@@ -55,24 +55,20 @@ def phase_color(freq: int, phase: int) -> str | None:
     return None
 
 
-def solve(
-    variables: list[tuple[object, int, tuple[int, ...]]],
-    endpoints: dict[object, tuple[object, object]],
-    base_masks,
-) -> Iterator[dict[object, int]]:
+def solve(edges, base_masks) -> Iterator[dict[object, int]]:
     """Yield phase assignments keeping every endpoint's day set disjoint.
 
-    variables: (key, freq, tuple of candidate phases); endpoints maps each
-    key to the two person keys whose occupancy the edge joins; base_masks
-    gives the already-committed occupancy of every endpoint, by person key
-    (a list indexed by person or a dict; never mutated). Most-constrained
-    variables are tried first; within a domain, phases in the given order.
+    edges: one (key, a, b, freq, phases) record per edge, joining the person
+    keys a and b, with its candidate phases; base_masks gives the
+    already-committed occupancy of every endpoint, by person key (a list
+    indexed by person or a dict; never mutated). Most-constrained edges are
+    tried first; within a domain, phases in the given order.
     """
-    masks = {p: base_masks[p] for pair in endpoints.values() for p in pair}
-    # per variable in search order (sorted is stable, so ties keep their
-    # given order): key, endpoints, phases and their day masks
-    steps = [(key, *endpoints[key], domain, occ_masks(freq, domain))
-             for key, freq, domain in sorted(variables, key=lambda v: len(v[2]))]
+    # per edge in search order (sorted is stable, so ties keep their given
+    # order): key, endpoints, phases and their day masks
+    steps = [(key, a, b, domain, occ_masks(freq, domain))
+             for key, a, b, freq, domain in sorted(edges, key=lambda e: len(e[4]))]
+    masks = {p: base_masks[p] for _, a, b, _, _ in steps for p in (a, b)}
     if not steps:
         yield {}
         return
@@ -103,7 +99,7 @@ def solve(
             yield dict(assignment)
 
 
-def solve_first(variables, endpoints, base_masks) -> dict[object, int] | None:
-    for sol in solve(variables, endpoints, base_masks):
+def solve_first(edges, base_masks) -> dict[object, int] | None:
+    for sol in solve(edges, base_masks):
         return sol
     return None

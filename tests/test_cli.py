@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from polysched import cli
-from polysched.satred import compile_formula, synth
+from polysched.satred import compile_formula, demo_formula, emit_dimacs, parse_sidecar, synth
 from polysched.satred.cnf import parse_dimacs
 from polysched.bounds import METHODS
 from polysched.cli import (
@@ -211,6 +213,29 @@ def test_refused_synth_compiles_nothing(tmp_path, capsys, monkeypatch):
         "error: --assign must be a 0/1 string, one bit per variable\n"
 
 
+@pytest.mark.parametrize("k", ["5", "-1"])
+def test_reduce_sat_k_out_of_range_is_a_usage_error(tmp_path, capsys, k):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    dps = tmp_path / "f.dps"
+    assert main(["reduce-sat", "--cnf", str(cnf), "-k", k, "-o", str(dps)]) == EX_USAGE
+    assert capsys.readouterr().err == \
+        f"error: -k {k} is outside 0..2, the clause count of {cnf}\n"
+    assert not dps.exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 2 1\n1 x 0\n", "line 2: invalid literal for int() with base 10: 'x'"),
+    ("c a comment\np cnf 2 y\n1 2 0\n", "line 2: invalid literal for int() with base 10: 'y'"),
+    ("p cnf 2 3\n1 2 0\n\n-1 0\n", "line 1: declared 3 clauses, found 2"),
+], ids=["token", "problem-line", "clause-count"])
+def test_malformed_cnf_names_its_line(tmp_path, capsys, text, message):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(text)
+    assert main(["reduce-sat", "--cnf", str(cnf), "-o", str(tmp_path / "f.dps")]) == EX_PARSE
+    assert capsys.readouterr().err == f"error: {cnf}: {message}\n"
+
+
 @pytest.mark.parametrize("sidecar, message", [
     ("# cnf 3 1\n", "not enough values to unpack"),
     ("# cnf 3 x 1\n", "invalid literal for int()"),
@@ -239,7 +264,7 @@ def test_sidecar_holds_the_formula(tmp_path):
     assert main(["reduce-sat", "--cnf", str(cnf), "-k", "2", "-o", str(dps)]) == EX_OK
     prov = f"{dps}.prov"
     assert len(Path(prov).read_text().splitlines()) > 4  # provenance follows the formula
-    assert cli._formula_from_sidecar(prov) == parse_dimacs(text, k=2)
+    assert parse_sidecar(Path(prov).read_text()) == parse_dimacs(text, k=2)
 
 
 def test_cli_import_leaves_networkx_unloaded():
@@ -305,3 +330,22 @@ def test_suite_multiple_bound_methods(capsys):
     assert len(rows) == 2 * 2 * 2
     methods = {row.split(",")[4] for row in rows}
     assert methods == {"trivial", "bamboo"}
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every command of the README's `## Command line` block, in order."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert {line[0] for line in lines if line} == {"polysched"}
+    argvs = [line[1:] for line in lines if line]
+    assert {argv[0] for argv in argvs} >= {"reduce-sat", "synth", "extract"}
+    monkeypatch.chdir(tmp_path)
+    Path("formula.cnf").write_text(emit_dimacs(demo_formula()))
+    for argv in argvs:
+        want = EX_INFEASIBLE if argv == ["feasible", "tri.dps"] else EX_OK
+        assert main(argv) == want, argv
+    assert capsys.readouterr().out.endswith("ok\n010\n")

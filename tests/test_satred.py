@@ -1,16 +1,21 @@
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import count_satisfied, small_formula_family
 
+from polysched import cli
 from polysched.core import DpsInstance, PeriodicSchedule, heat, verify_dps
 from polysched.fileio import emit_schedule
 from polysched.satred import (
     CnfFormula,
+    ExtractionError,
     SynthesisRefused,
     check_all_gadgets,
     compile_formula,
@@ -32,6 +37,7 @@ from polysched.satred.build import (
     density_one_persons,
 )
 from polysched.satred.gadgetcheck import (
+    _SCENARIOS,
     _and2_scenarios,
     _d3_scenarios,
     _d12_scenarios,
@@ -288,6 +294,16 @@ ARTIFACT_DIGESTS = {
 }
 
 
+# sha256 of the `.prov` sidecar `reduce-sat` writes for each formula
+SIDECAR_DIGESTS = {
+    "demo": "9648a8605abe4500ed8a5ba139b80fa4bcb791bc07398d7a32d1150419c25239",
+    "corpus-1": "aa7fb8337fe379d78d10dfc2f608c15014f74ea041cfdcf4351c99fa3e14120a",
+    "corpus-2": "82f9a664b5dcd0b101739a15752fe4ab725bd27a279198d3001fb5eb8316207d",
+    "corpus-3": "071bb4eea32a87e85271591b10d4dfa06ec0a029c2957452ba9a40779f33212b",
+    "corpus-4": "2fdabe92faffd0c9187b0d1f36521903ce9ce0e7dc129baae98f304d5bbe9353",
+    "corpus-5": "ceedc2923453927be590cbb01663349c506bfda94ad4af9098df8772c597abb5",
+}
+
 def _pinned_formula(name):
     if name == "demo":
         return demo_formula()
@@ -507,6 +523,45 @@ class TestSynthesis:
         art = compile_formula(_pinned_formula(name))
         assert _artifact_digest(art) == ARTIFACT_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", list(SIDECAR_DIGESTS))
+    def test_sidecar_is_pinned(self, tmp_path, capsys, name):
+        formula = _pinned_formula(name)
+        cnf, dps = tmp_path / "f.cnf", tmp_path / "f.dps"
+        cnf.write_text(emit_dimacs(formula))
+        assert cli.main(["reduce-sat", "--cnf", str(cnf), "-k", str(formula.k),
+                         "-o", str(dps)]) == 0
+        prov = Path(f"{dps}.prov").read_bytes()
+        assert hashlib.sha256(prov).hexdigest() == SIDECAR_DIGESTS[name]
+
+    def test_doubled_schedule_extracts_the_same_assignment(self):
+        art = compile_formula(demo_formula())
+        assignment = (False, True, False)
+        schedule = synthesize_schedule(art, assignment)
+        doubled = PeriodicSchedule(2 * schedule.period, schedule.days * 2)
+        assert extract_assignment(art, doubled) == assignment
+
+    def test_clock_listed_under_another_colour_aligns_no_rotation(self):
+        art = compile_formula(demo_formula())
+        schedule = synthesize_schedule(art, (False, True, False))
+        clock = dict(art.clock_edges)
+        clock["B"] = clock.pop("G")  # the green clock edge listed as blue
+        with pytest.raises(ExtractionError,
+                           match="^no rotation aligns the clock to the slot classes$"):
+            extract_assignment(dataclasses.replace(art, clock_edges=clock), schedule)
+
+    def test_recoloured_edge_leaves_its_slots(self):
+        art = compile_formula(demo_formula())
+        schedule = synthesize_schedule(art, (False, True, False))
+        clock = set(art.clock_edges.values())
+        rec = next(r for r in art.edge_recs if r.color and r.index not in clock)
+        other = {"R": "B", "B": "R", "G": "P", "P": "G"}[rec.color]
+        recs = list(art.edge_recs)
+        recs[rec.index] = rec._replace(color=other)
+        message = (f"edge {rec.index} ({rec.role}) leaves its {other} slots; "
+                   "the polycule forbids this, so the schedule data is inconsistent")
+        with pytest.raises(ExtractionError, match=f"^{re.escape(message)}$"):
+            extract_assignment(dataclasses.replace(art, edge_recs=recs), schedule)
+
     def test_extraction_requires_valid_schedule(self):
         art = compile_formula(demo_formula())
         bogus = PeriodicSchedule(1, (frozenset(),))
@@ -570,29 +625,28 @@ class TestTiling:
     ], ids=["list", "dict", "unsolvable"])
     def test_solve_matches_brute_force_and_keeps_base_masks(self, base_masks):
         # a triangle of 6- and 12-day edges on persons 0-2, and a 12-day edge 2-3
-        variables = [("ab", 6, (0, 2, 4, 5)), ("bc", 12, tuple(range(12))),
-                     ("ca", 6, tuple(range(6))), ("cd", 12, (5, 3, 1))]
-        endpoints = {"ab": (0, 1), "bc": (1, 2), "ca": (2, 0), "cd": (2, 3)}
+        edges = [("ab", 0, 1, 6, (0, 2, 4, 5)), ("bc", 1, 2, 12, tuple(range(12))),
+                 ("ca", 2, 0, 6, tuple(range(6))), ("cd", 2, 3, 12, (5, 3, 1))]
         before = copy.deepcopy(base_masks)
 
         def disjoint(phases):
             masks = [base_masks[p] for p in range(4)]
-            for (key, freq, _), phase in zip(variables, phases):
+            for (_, a, b, freq, _), phase in zip(edges, phases):
                 mask = occ_mask(freq, phase)
-                for p in endpoints[key]:
+                for p in (a, b):
                     if masks[p] & mask:
                         return False
                     masks[p] |= mask
             return True
 
-        brute = [dict(zip(endpoints, phases))
-                 for phases in itertools.product(*(domain for _, _, domain in variables))
+        brute = [dict(zip((key for key, *_ in edges), phases))
+                 for phases in itertools.product(*(domain for *_, domain in edges))
                  if disjoint(phases)]
-        solutions = list(solve(variables, endpoints, base_masks))
+        solutions = list(solve(edges, base_masks))
         assert base_masks == before
         assert sorted(map(sorted, map(dict.items, solutions))) == \
             sorted(map(sorted, map(dict.items, brute)))
-        first = solve_first(variables, endpoints, base_masks)
+        first = solve_first(edges, base_masks)
         assert base_masks == before
         assert first == (solutions[0] if solutions else None)
 
@@ -636,6 +690,48 @@ class TestGadgetChecks:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             gadget_local_check("Nonsense")
+
+
+# (gadget kind, model persons -> compiled person keys), for the models
+# `gadgetcheck` enumerates; a Swap model is built from the D12, Or2 and And2
+# parts, so it covers them as well
+_MODEL_PERSONS = [
+    ("Variable", {"x": "x"}),
+    ("OR", {"or": "or", "i0": "i0", "i1": "i1", "i2": "i2"}),
+    ("SB6", {"s": "s"}),
+    ("SB12", {"s": "s"}),
+    ("SG12", {"s": "s"}),
+    ("D6", {"a": "a", "b": "b", "c": "c"}),
+    ("D3", {"a": "a", "n0": "r1n0", "n1": "r1n1", "n2": "r1n2"}),
+    ("Tension", {"T": "t"}),
+    ("Swap", {p: p for p in ("I1", "D1", "I2", "D2", "V", "IV", "A", "IA")}),
+]
+
+
+class TestGadgetModelsMatchCompiled:
+    """The models `check_all_gadgets` verifies are the gadgets `compile_formula`
+    builds: each model person meets the frequencies of its compiled twin."""
+
+    @pytest.mark.parametrize("kind, persons", _MODEL_PERSONS, ids=[k for k, _ in _MODEL_PERSONS])
+    def test_person_frequencies(self, kind, persons):
+        _, model, _ = next(iter(_SCENARIOS[kind]()))
+        model_freqs = {}
+        for _, a, b, freq, _ in model.edges:
+            for p in (a, b):
+                model_freqs.setdefault(p, []).append(freq)
+        assert set(persons) == {p for p in model_freqs if not p.startswith("_ext")}
+
+        art = compile_formula(demo_formula())
+        compiled_freqs = [[] for _ in range(art.dps.n)]
+        for (a, b), freq in zip(art.dps.edges, art.dps.freq):
+            compiled_freqs[a].append(freq)
+            compiled_freqs[b].append(freq)
+        gadgets = [g for g in art.gadgets if g.kind == kind]
+        assert gadgets
+        for g in gadgets:
+            for model_person, key in persons.items():
+                assert sorted(compiled_freqs[g.persons[key]]) == \
+                    sorted(model_freqs[model_person]), (g.name, key)
 
 
 def _cases(scenarios):
