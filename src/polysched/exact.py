@@ -5,7 +5,8 @@ A state holds, per edge, the days remaining until that edge must be scheduled
 at countdown 1, resets those edges to f and decrements the rest. Reachable
 cycles correspond exactly to feasible periodic schedules, so a depth-first
 search with dead-state memoization decides feasibility and extracts the
-cycle as the witness schedule.
+cycle as the witness schedule. The search closes the cycle as soon as a
+state it enters has a successor on the path.
 
 `ConfigGraph` packs a state into one int: per edge, max(1, bit_length(f - 1))
 low bits hold countdown - 1 below a guard bit that is clear in every stored
@@ -23,7 +24,12 @@ star schedule. Skipped are stars with fewer than 3 edges (two tasks of
 density <= 1 always fit), stars of load <= 5/6 (every such pinwheel instance
 is schedulable; Kawamura, STOC 2024) and a star holding every edge of the
 instance, which the full search decides itself. A skip can only lose a
-pruning, never change a verdict.
+pruning, never change a verdict. A star is searched in `PinwheelGraph`,
+which keeps the countdowns of equal frequencies sorted: tasks of one
+frequency are interchangeable, so states that differ by a permutation of
+them are one state. A cycle among the plain states is one among the merged
+states, and a merged cycle walked often enough returns to the same plain
+state, so the verdict is the same.
 
 `ops_optimal_heat` brackets the optimum before it searches. The round-robin
 schedule of a Delta+1 edge colouring is a witness at a candidate heat, the
@@ -51,7 +57,6 @@ from .core import (
     scaled_growth,
     verify_dps,
 )
-from .generators import pinwheel_star
 from .matchings import MATCHING_CAP, enumerate_maximal_matchings
 
 FEASIBLE = "feasible"
@@ -72,7 +77,31 @@ class FeasibilityResult:
     explored: int
 
 
-class ConfigGraph:
+class _Fields:
+    """The packing of countdown tuples over the frequencies `freq` (see the
+    module docstring): per field its offset, low-bit mask and guard bit."""
+
+    def __init__(self, freq):
+        self.offsets: list[int] = []
+        self.low: list[int] = []
+        self.guard: list[int] = []
+        off = 0
+        for f in freq:
+            w = max(1, (f - 1).bit_length())
+            self.offsets.append(off)
+            self.low.append(((1 << w) - 1) << off)
+            self.guard.append(1 << (off + w))
+            off += w + 1
+        self.guards = sum(self.guard)
+        self.ones = sum(1 << o for o in self.offsets)
+        self.twos = 2 * self.ones
+        self.start = self.pack(freq)
+
+    def pack(self, state: tuple[int, ...]) -> int:
+        return sum((u - 1) << o for u, o in zip(state, self.offsets))
+
+
+class ConfigGraph(_Fields):
     """The configuration graph of one instance over a fixed list of matchings.
 
     States are packed ints (see the module docstring); `start` is the all-f
@@ -80,30 +109,15 @@ class ConfigGraph:
     """
 
     def __init__(self, instance: DpsInstance, matchings: list[frozenset[int]]):
-        self.offsets: list[int] = []
-        low: list[int] = []  # per edge: the mask of its low bits
-        guard: list[int] = []  # per edge: its guard bit
-        off = 0
-        for f in instance.freq:
-            w = max(1, (f - 1).bit_length())
-            self.offsets.append(off)
-            low.append(((1 << w) - 1) << off)
-            guard.append(1 << (off + w))
-            off += w + 1
-        self.guards = sum(guard)
-        self.ones = sum(1 << o for o in self.offsets)
-        self.twos = 2 * self.ones
+        super().__init__(instance.freq)
+        low, guard = self.low, self.guard
         # per matching, in sorted-edge-list order: its edges' guard bits, the
         # other edges' low bits, and its edges' fields reset to f - 1
         self.moves = [(frozenset(mm), sum(guard[e] for e in mm),
                        sum(low[e] for e in range(instance.m) if e not in mm),
                        sum((instance.freq[e] - 1) << self.offsets[e] for e in mm))
                       for mm in sorted(matchings, key=sorted)]
-        self.start = self.pack(instance.freq)
         self._fit: dict[int, list] = {}  # must-set -> the moves covering it, in order
-
-    def pack(self, state: tuple[int, ...]) -> int:
-        return sum((u - 1) << o for u, o in zip(state, self.offsets))
 
     def successors(self, packed: int) -> list[tuple[frozenset[int], int]]:
         """One successor per matching containing every countdown-1 edge.
@@ -126,6 +140,53 @@ class ConfigGraph:
                for i, (mm, gm, keep, reset) in enumerate(fit)]
         out.sort()  # the index breaks ties in move order, so sets are never compared
         return [(mm, nxt) for _, _, mm, nxt in out]
+
+
+class PinwheelGraph(_Fields):
+    """The configuration graph of a pinwheel instance, one task per day, with
+    the states that differ only by a permutation of equal frequencies merged.
+
+    Fields are laid out as `ConfigGraph`'s over the ascending frequencies,
+    and each run (group) of equal frequencies keeps its countdowns
+    ascending. Scheduling the task at position p shifts the higher fields of
+    its group down one place and sets f - 1 in the group's top field, so a
+    successor is sorted whenever its state is, with no re-sorting. A move is
+    labelled by its position. With no frequency repeated, the successors
+    are `ConfigGraph`'s over the star of singleton matchings, in its order.
+    """
+
+    def __init__(self, freqs):
+        freqs = sorted(freqs)
+        super().__init__(freqs)
+        low, guard, offsets = self.low, self.guard, self.offsets
+        # per position p of a group [a, b): its guard bit, the low bits that
+        # stay (outside the group and below p), the low bits that move down
+        # one field (above p), the bits of one field and the top field set
+        # to f - 1
+        self.moves = []
+        for p, f in enumerate(freqs):
+            b = freqs.index(f) + freqs.count(f)
+            self.moves.append((p, guard[p], sum(low) - sum(low[p:b]), sum(low[p + 1:b]),
+                               guard[p].bit_length() - offsets[p], (f - 1) << offsets[b - 1]))
+        self._urgent = {move[1]: [move] for move in self.moves}  # a lone due task -> its move
+        self._ordered: dict[int, list] = {}  # relief -> the moves, relieving ones first
+
+    def successors(self, packed: int) -> list[tuple[int, int]]:
+        """As `ConfigGraph.successors`: the one move of the countdown-1 task,
+        none when two tasks are due, else every move, those of the tasks at
+        countdown <= 2 first, each part in position order."""
+        lifted = packed | self.guards
+        dec = lifted - self.ones
+        must = self.guards & ~dec
+        if must:
+            moves = self._urgent.get(must, ())
+        else:
+            relief = self.guards & ~(lifted - self.twos)
+            moves = self._ordered.get(relief)
+            if moves is None:
+                moves = self._ordered[relief] = sorted(self.moves, key=lambda m: not relief & m[1])
+        return [(p, (dec & keep) | ((dec & above) >> width) | reset)
+                for p, _, keep, above, width, reset in moves]
 
 
 # Kawamura (STOC 2024): every pinwheel instance of density <= 5/6 is
@@ -167,9 +228,11 @@ def dps_feasible(
     full search exhausts its reachable subgraph without a cycle, or
     inconclusive when a budget runs out (never conflated with infeasible).
     `explored` counts the states of the search that settled the verdict: the
-    star's own count when a star proves infeasibility, else the full
-    search's, which a feasible or inconclusive star leaves unchanged. Each
-    search gets `max_states`; all share one `time_limit` deadline.
+    merged states of the star's `PinwheelGraph` when a star proves
+    infeasibility (no more than the star's plain states, and as many when no
+    frequency repeats), else the full search's, which a feasible or
+    inconclusive star leaves unchanged. Each search gets `max_states`; all
+    share one `time_limit` deadline.
     `_matchings` lets `ops_optimal_heat` share one enumeration of the
     maximal matchings among its probes, which share the edge set; it is
     called only when the full search runs.
@@ -183,56 +246,65 @@ def dps_feasible(
     for freqs, load, unit in stars:
         if len(freqs) < 3 or load * skip_den <= skip_num * unit or len(freqs) == instance.m:
             continue
-        pinwheel = pinwheel_star(*sorted(freqs))
-        result = _search(pinwheel, [frozenset({e}) for e in range(pinwheel.m)], limits, deadline)
-        if result.status == INFEASIBLE:
-            return result
+        status, _, explored = _search(PinwheelGraph(freqs), limits, deadline)
+        if status == INFEASIBLE:
+            return FeasibilityResult(INFEASIBLE, None, explored)
     if _matchings is None:
         matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
     else:
         matchings = _matchings()
-    return _search(instance, matchings, limits, deadline)
+    status, cycle, explored = _search(ConfigGraph(instance, matchings), limits, deadline)
+    schedule = None if cycle is None else PeriodicSchedule(len(cycle), tuple(cycle))
+    return FeasibilityResult(status, schedule, explored)
 
 
 def _search(
-    instance: DpsInstance,
-    matchings: list[frozenset[int]],
+    graph: ConfigGraph | PinwheelGraph,
     limits: SearchLimits,
     deadline: float | None,
-) -> FeasibilityResult:
-    """Depth-first cycle search over the configuration graph from the all-f state."""
-    graph = ConfigGraph(instance, matchings)
+) -> tuple[str, list | None, int]:
+    """Depth-first cycle search from `graph.start`: (status, the moves of a
+    cycle when feasible, states entered).
+
+    Entering a state lists its successors and closes the cycle at once if
+    one of them is on the path; otherwise the search descends into the first
+    successor not known dead, and a state with none left is dead. The path
+    is the same whenever the search returns to a state, so a successor off
+    the path on entry never joins it later: an infeasible search enters the
+    same states as one that looked only when it reached each successor, and
+    a feasible one enters no more.
+    """
     successors = graph.successors
     max_states = limits.max_states
     dead: set[int] = set()
-    on_path: dict[int, int] = {graph.start: 0}  # state -> depth; the last is the top
-    path_moves: list[frozenset[int]] = []
-    stack = [iter(successors(graph.start))]
-    explored = 1
-
-    while stack:
-        if explored > max_states:
-            return FeasibilityResult(INCONCLUSIVE, None, explored)
-        if deadline is not None and time.monotonic() > deadline:
-            return FeasibilityResult(INCONCLUSIVE, None, explored)
-        for mm, nxt in stack[-1]:
+    on_path: dict[int, int] = {}  # state -> index of the move leaving it; the last is the top
+    path_moves: list = []
+    stack: list = []  # per state on the path: an iterator over its successors
+    state, explored = graph.start, 0
+    while True:
+        explored += 1
+        if explored > max_states or (deadline is not None and time.monotonic() > deadline):
+            return INCONCLUSIVE, None, explored
+        on_path[state] = len(path_moves)
+        succ = successors(state)
+        for move, nxt in succ:
             if nxt in on_path:
-                days = path_moves[on_path[nxt]:] + [mm]
-                schedule = PeriodicSchedule(len(days), tuple(days))
-                return FeasibilityResult(FEASIBLE, schedule, explored)
-            if nxt not in dead:
-                on_path[nxt] = len(path_moves) + 1
-                path_moves.append(mm)
-                stack.append(iter(successors(nxt)))
-                explored += 1
-                break
-        else:  # no live successor left: this state is dead
-            stack.pop()
-            dead.add(on_path.popitem()[0])
-            if path_moves:
-                path_moves.pop()
-
-    return FeasibilityResult(INFEASIBLE, None, explored)
+                return FEASIBLE, path_moves[on_path[nxt]:] + [move], explored
+        stack.append(iter(succ))
+        while stack:
+            for move, state in stack[-1]:
+                if state not in dead:
+                    break
+            else:  # no live successor left: the top state is dead
+                stack.pop()
+                dead.add(on_path.popitem()[0])
+                if path_moves:
+                    path_moves.pop()
+                continue
+            path_moves.append(move)
+            break
+        else:
+            return INFEASIBLE, None, explored
 
 
 # the rungs that settle an end of the optimum's bracket

@@ -24,6 +24,7 @@ from polysched.exact import (
     INCONCLUSIVE,
     INFEASIBLE,
     OptimalHeatResult,
+    SearchLimits,
     dps_feasible,
     heat_candidates,
 )
@@ -159,6 +160,36 @@ def naive_successors(state: tuple[int, ...], instance: DpsInstance):
             out.append((-relief, sorted(mm), mm, nxt))
     out.sort(key=lambda t: (t[0], t[1]))
     return [(mm, nxt) for _, _, mm, nxt in out]
+
+
+def reference_search(graph, limits: SearchLimits) -> tuple[str, list | None, int]:
+    """The depth-first cycle search that looks at a successor only when it
+    reaches it, as `exact._search` did before it closed cycles on entry:
+    (status, the moves of a cycle when feasible, states entered)."""
+    successors = graph.successors
+    dead: set[int] = set()
+    on_path: dict[int, int] = {graph.start: 0}
+    path_moves: list = []
+    stack = [iter(successors(graph.start))]
+    explored = 1
+    while stack:
+        if explored > limits.max_states:
+            return INCONCLUSIVE, None, explored
+        for mm, nxt in stack[-1]:
+            if nxt in on_path:
+                return FEASIBLE, path_moves[on_path[nxt]:] + [mm], explored
+            if nxt not in dead:
+                on_path[nxt] = len(path_moves) + 1
+                path_moves.append(mm)
+                stack.append(iter(successors(nxt)))
+                explored += 1
+                break
+        else:
+            stack.pop()
+            dead.add(on_path.popitem()[0])
+            if path_moves:
+                path_moves.pop()
+    return INFEASIBLE, None, explored
 
 
 def brute_force_dps_feasible(instance: DpsInstance, max_period: int) -> bool:

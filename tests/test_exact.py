@@ -7,7 +7,12 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
-from helpers import brute_force_dps_feasible, naive_successors, reference_optimal_heat
+from helpers import (
+    brute_force_dps_feasible,
+    naive_successors,
+    reference_optimal_heat,
+    reference_search,
+)
 
 from polysched import exact
 from polysched.coloring import round_robin_schedule
@@ -20,6 +25,7 @@ from polysched.exact import (
     ROUND_ROBIN,
     SEARCH,
     ConfigGraph,
+    PinwheelGraph,
     SearchLimits,
     dps_feasible,
     heat_candidates,
@@ -57,6 +63,22 @@ def config_graph(inst):
 
 def all_states(inst):
     return list(iproduct(*(range(1, f + 1) for f in inst.freq)))
+
+
+def star_graph(freqs):
+    """The matching graph of pinwheel_star(*freqs): one singleton matching per task."""
+    star = pinwheel_star(*freqs)
+    return ConfigGraph(star, [frozenset({e}) for e in range(star.m)])
+
+
+def sorted_groups(state, freqs):
+    """`state` with the countdowns of each run of equal frequencies in ascending order."""
+    out = list(state)
+    for f in set(freqs):
+        at = [i for i, g in enumerate(freqs) if g == f]
+        for i, u in zip(at, sorted(state[i] for i in at)):
+            out[i] = u
+    return tuple(out)
 
 
 class TestSuccessors:
@@ -198,6 +220,43 @@ class TestFeasibility:
         star = dps_feasible(pinwheel_star(2, 3, 12))
         assert (star.status, star.explored) == (INFEASIBLE, 36)
 
+    def test_closing_on_entry_enters_no_more_states(self, monkeypatch):
+        # every search of every probe of the seed-5 suite, star searches
+        # included, against the search that looks at a successor only when
+        # it reaches it
+        search = exact._search
+        searched, probed = [], []
+
+        def both(graph, limits, deadline):
+            found = search(graph, limits, deadline)
+            searched.append((type(graph), found, reference_search(graph, limits)))
+            return found
+
+        def recording(instance, *args, **kwargs):
+            result = dps_feasible(instance, *args, **kwargs)
+            probed.append((instance, result))
+            return result
+
+        monkeypatch.setattr(exact, "_search", both)
+        monkeypatch.setattr(exact, "dps_feasible", recording)
+        for _, inst in seeded_suite(5, 200):
+            ops_optimal_heat(inst)
+        entered = {FEASIBLE: [0, 0], INFEASIBLE: [0, 0]}
+        for kind, (status, _, explored), (ref_status, _, ref_explored) in searched:
+            assert status == ref_status
+            if status == INFEASIBLE:
+                assert explored == ref_explored
+            else:
+                assert explored <= ref_explored
+            entered[status][0] += explored
+            entered[status][1] += ref_explored
+        assert {kind for kind, _, _ in searched} == {ConfigGraph, PinwheelGraph}
+        assert entered[FEASIBLE][0] < entered[FEASIBLE][1]
+        assert entered[INFEASIBLE][0] > 0
+        for instance, result in probed:
+            if result.status == FEASIBLE:
+                assert verify_dps(instance, result.schedule) is None, instance
+
 
 def loaded_star_instance(rng):
     """A star of 3-4 edges with load in (5/6, 1], plus 1-2 edges off the
@@ -259,6 +318,64 @@ class TestStarCheck:
                 result = dps_feasible(inst, SearchLimits(max_states=max_states))
                 assert result.status == INCONCLUSIVE, (inst, max_states)
             assert dps_feasible(inst, SearchLimits(max_states=36)).status == INFEASIBLE
+
+
+class TestPinwheelGraph:
+    def test_successors_are_the_star_graphs_with_groups_sorted(self):
+        # every sorted state; repeated frequencies, f = 1 and the field-width
+        # boundaries 2, 3, 4, 5, 8, 9 included
+        tuples = [(2, 2, 3), (1, 2, 2), (3, 3, 3), (2, 4, 4, 4), (3, 3, 5, 5), (2, 3, 5),
+                  (4, 4), (2, 8, 9, 9), (1, 1), (5, 8, 8)]
+        rng = random.Random(97)
+        tuples += [tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(2, 5))))
+                   for _ in range(20)]
+        for freqs in tuples:
+            graph, star = PinwheelGraph(freqs), star_graph(freqs)
+            assert graph.start == star.start
+            for s in all_states(pinwheel_star(*freqs)):
+                if sorted_groups(s, freqs) != s:
+                    continue
+                expected = [(p, star.pack(sorted_groups(t, freqs)))
+                            for (p,), t in naive_successors(s, pinwheel_star(*freqs))]
+                assert graph.successors(star.pack(s)) == expected, (freqs, s)
+
+    def test_search_matches_the_star_graph(self, monkeypatch):
+        # every star that the probes of suites 1-5 search, and 400 random
+        # tuples of 2-7 tasks with a repeated frequency
+        reached = set()
+
+        class Recording(PinwheelGraph):
+            def __init__(self, freqs):
+                reached.add(tuple(sorted(freqs)))
+                super().__init__(freqs)
+
+        monkeypatch.setattr(exact, "PinwheelGraph", Recording)
+        for seed in range(1, 6):
+            for _, inst in seeded_suite(seed, 200):
+                ops_optimal_heat(inst)
+        monkeypatch.undo()
+        assert len(reached) >= 50
+        assert sum(len(set(freqs)) < len(freqs) for freqs in reached) >= 20
+        rng = random.Random(101)
+        drawn = []
+        for _ in range(400):
+            freqs = [rng.randint(1, 12) for _ in range(rng.randint(1, 6))]
+            drawn.append(tuple(sorted(freqs + [rng.choice(freqs)])))
+        limits = SearchLimits()
+        verdicts = {FEASIBLE: 0, INFEASIBLE: 0}
+        for freqs in sorted(reached) + drawn:
+            status, _, explored = exact._search(PinwheelGraph(freqs), limits, None)
+            plain_status, _, plain_explored = exact._search(star_graph(freqs), limits, None)
+            assert status == plain_status, freqs
+            if len(set(freqs)) == len(freqs):
+                assert explored == plain_explored, freqs
+            elif status == INFEASIBLE:
+                # both enter every reachable state, and merging only merges
+                assert explored <= plain_explored, freqs
+            verdicts[status] += 1
+        assert min(verdicts.values()) >= 100
+        status, _, explored = exact._search(PinwheelGraph((12, 3, 2)), limits, None)
+        assert (status, explored) == (INFEASIBLE, 36)
 
 
 class TestOptimalHeat:
@@ -414,7 +531,7 @@ class TestOptimalHeat:
         # the load check fails at 17 and passes at 18, the round-robin
         # schedule has heat 24, and the first probe, at 21, runs out of states
         inst = dict(seeded_suite(1, 6))["rand-1-5"]
-        result = ops_optimal_heat(inst, SearchLimits(max_states=200))
+        result = ops_optimal_heat(inst, SearchLimits(max_states=100))
         assert result.status == INCONCLUSIVE
         assert result.bracket == (17, 24)
         assert result.rungs == (LOAD, ROUND_ROBIN)
