@@ -164,9 +164,10 @@ class PinwheelGraph(_Fields):
         # one field (above p), the bits of one field and the top field set
         # to f - 1
         self.moves = []
+        every = sum(low)
         for p, f in enumerate(freqs):
             b = freqs.index(f) + freqs.count(f)
-            self.moves.append((p, guard[p], sum(low) - sum(low[p:b]), sum(low[p + 1:b]),
+            self.moves.append((p, guard[p], every - sum(low[p:b]), sum(low[p + 1:b]),
                                guard[p].bit_length() - offsets[p], (f - 1) << offsets[b - 1]))
         self._urgent = {move[1]: [move] for move in self.moves}  # a lone due task -> its move
         self._ordered: dict[int, list] = {}  # relief -> the moves, relieving ones first
