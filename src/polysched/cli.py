@@ -105,6 +105,14 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _limits(args) -> SearchLimits:
+    """The search limits of `feasible` and `solve`; a limit that leaves no
+    search to run, or no matching to enumerate, is a usage error."""
+    if args.max_states < 1:
+        raise CliError(f"--max-states {args.max_states} must be at least 1", EX_USAGE)
+    if args.time_limit is not None and not args.time_limit >= 0:  # NaN included
+        raise CliError(f"--time-limit {args.time_limit:g} must not be negative", EX_USAGE)
+    if args.matching_cap < 1:
+        raise CliError(f"--matching-cap {args.matching_cap} must be at least 1", EX_USAGE)
     return SearchLimits(max_states=args.max_states, time_limit=args.time_limit)
 
 
@@ -170,8 +178,9 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_feasible(args) -> int:
+    limits = _limits(args)
     instance = _load_dps(args.instance)
-    result = dps_feasible(instance, _limits(args), matching_cap=args.matching_cap)
+    result = dps_feasible(instance, limits, matching_cap=args.matching_cap)
     print(f"{result.status} (explored {result.explored} states)")
     if result.status == FEASIBLE and args.emit_schedule:
         _write(args.emit_schedule, emit_schedule(instance, result.schedule))
@@ -179,8 +188,9 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    limits = _limits(args)
     instance = _load_ops(args.instance)
-    result = ops_optimal_heat(instance, _limits(args), matching_cap=args.matching_cap)
+    result = ops_optimal_heat(instance, limits, matching_cap=args.matching_cap)
     if result.status != FEASIBLE:
         lo, hi = result.bracket
         print(f"inconclusive; bracket ({lo}, {hi})")

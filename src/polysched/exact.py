@@ -8,6 +8,17 @@ search with dead-state memoization decides feasibility and extracts the
 cycle as the witness schedule. The search closes the cycle as soon as a
 state it enters has a successor on the path.
 
+A state is dead when no infinite walk leaves it. A state s whose countdowns
+are all <= those of a dead state d is dead too: its must-set contains d's,
+so every move open to s is open to d, and after the same move d's
+countdowns are again all >= s's. Any infinite walk from s would replay from
+d. So before it descends into a successor, the search asks `_DeadIndex`
+whether some state it found dead is fieldwise >= it, and if so skips it as
+dead. It skips a successor that has no successor of its own (no move
+covers its must-set) the same way, without entering it. A skipped state is
+truly dead, so the search enters the same live states in the same order
+and finds the same cycle; it only enters fewer dead ones.
+
 `ConfigGraph` packs a state into one int: per edge, max(1, bit_length(f - 1))
 low bits hold countdown - 1 below a guard bit that is clear in every stored
 state. With all guards set (`lifted`), subtracting one per field never
@@ -29,13 +40,17 @@ which keeps the countdowns of equal frequencies sorted: tasks of one
 frequency are interchangeable, so states that differ by a permutation of
 them are one state. A cycle among the plain states is one among the merged
 states, and a merged cycle walked often enough returns to the same plain
-state, so the verdict is the same.
+state, so the verdict is the same. Dominance holds there as well: a merged
+state is dead exactly when its sorted plain state is, and a sorted state
+fieldwise >= another is so as a plain state.
 
 `ops_optimal_heat` brackets the optimum before it searches. The round-robin
 schedule of a Delta+1 edge colouring is a witness at a candidate heat, the
 ceiling. The least candidate whose frequencies pass the load check, found by
 bisection in integer units without any search, is the floor. Only candidates
-between the two are probed.
+between the two are probed. The optimum most often sits at or just above the
+floor, so the probes gallop up from it (Bentley and Yao, Inf. Process. Lett.
+1976) and bisect only once a probe is feasible.
 """
 
 from __future__ import annotations
@@ -53,7 +68,6 @@ from .core import (
     OpsInstance,
     PeriodicSchedule,
     heat,
-    ops_to_dps,
     scaled_growth,
     verify_dps,
 )
@@ -130,9 +144,7 @@ class ConfigGraph(_Fields):
         dec = lifted - self.ones
         must = self.guards & ~dec
         relief = self.guards & ~(lifted - self.twos)
-        fit = self._fit.get(must)
-        if fit is None:
-            fit = self._fit[must] = [move for move in self.moves if must & move[1] == must]
+        fit = self._covering(must)
         if relief == must:
             # every move covers the must-set, so every relief count is equal
             return [(mm, (dec & keep) | reset) for mm, _, keep, reset in fit]
@@ -140,6 +152,16 @@ class ConfigGraph(_Fields):
                for i, (mm, gm, keep, reset) in enumerate(fit)]
         out.sort()  # the index breaks ties in move order, so sets are never compared
         return [(mm, nxt) for _, _, mm, nxt in out]
+
+    def stuck(self, packed: int) -> bool:
+        """Whether `packed` has no successor: no matching covers its must-set."""
+        return not self._covering(self.guards & ~((packed | self.guards) - self.ones))
+
+    def _covering(self, must: int) -> list:
+        fit = self._fit.get(must)
+        if fit is None:
+            fit = self._fit[must] = [move for move in self.moves if must & move[1] == must]
+        return fit
 
 
 class PinwheelGraph(_Fields):
@@ -188,6 +210,66 @@ class PinwheelGraph(_Fields):
                 moves = self._ordered[relief] = sorted(self.moves, key=lambda m: not relief & m[1])
         return [(p, (dec & keep) | ((dec & above) >> width) | reset)
                 for p, _, keep, above, width, reset in moves]
+
+    def stuck(self, packed: int) -> bool:
+        """Whether `packed` has no successor: two tasks are due at once."""
+        must = self.guards & ~((packed | self.guards) - self.ones)
+        return must & (must - 1) != 0
+
+
+class _DeadIndex:
+    """The dead states of one search, to ask whether any of them is fieldwise
+    >= a given state (see the module docstring).
+
+    The states are bucketed by must-set: d >= s fieldwise implies must(d) is
+    a subset of must(s), so a query walks the submasks of must(s). A bucket
+    packs its states side by side in one int, a slot of `width` bits each,
+    holding d | guards below a sentinel bit. Every guard is set in
+    d | guards and clear in s, so ``(d | guards) - s`` borrows across no
+    field, nor out of the slot, and keeps a field's guard exactly when that
+    field of d is >= s's. Filling the other bits of the slot and adding one
+    then carries into the sentinel exactly when every guard was kept. One
+    subtraction, or, addition and and test every slot of a bucket at once.
+    """
+
+    __slots__ = ("guards", "ones", "width", "fill", "sentinel", "buckets")
+
+    def __init__(self, fields: _Fields):
+        self.guards, self.ones = fields.guards, fields.ones
+        self.width = fields.guards.bit_length() + 1
+        self.sentinel = 1 << (self.width - 1)
+        self.fill = (self.sentinel - 1) & ~fields.guards
+        # must-set -> [slots, one per slot, fill bits, sentinels, next shift]
+        self.buckets: dict[int, list[int]] = {}
+
+    def add(self, state: int) -> None:
+        lifted = state | self.guards
+        must = self.guards & ~(lifted - self.ones)
+        bucket = self.buckets.get(must)
+        if bucket is None:
+            self.buckets[must] = [lifted, 1, self.fill, self.sentinel, self.width]
+            return
+        shift = bucket[4]
+        bucket[0] |= lifted << shift
+        bucket[1] |= 1 << shift
+        bucket[2] |= self.fill << shift
+        bucket[3] |= self.sentinel << shift
+        bucket[4] = shift + self.width
+
+    def covers(self, state: int) -> bool:
+        """Whether some added state is >= `state` in every field."""
+        buckets = self.buckets
+        must = self.guards & ~((state | self.guards) - self.ones)
+        sub = must
+        while True:
+            bucket = buckets.get(sub)
+            if bucket is not None:
+                slots, rep, fill, sentinels, _ = bucket
+                if (((slots - state * rep) | fill) + rep) & sentinels:
+                    return True
+            if not sub:
+                return False
+            sub = (sub - 1) & must
 
 
 # Kawamura (STOC 2024): every pinwheel instance of density <= 5/6 is
@@ -269,15 +351,20 @@ def _search(
 
     Entering a state lists its successors and closes the cycle at once if
     one of them is on the path; otherwise the search descends into the first
-    successor not known dead, and a state with none left is dead. The path
-    is the same whenever the search returns to a state, so a successor off
-    the path on entry never joins it later: an infeasible search enters the
-    same states as one that looked only when it reached each successor, and
-    a feasible one enters no more.
+    successor not known dead, and a state with none left is dead. A
+    successor is known dead when it was found dead before, when it has no
+    successor itself (`stuck`), or when a state found dead is fieldwise >=
+    it (`_DeadIndex`); the last two are marked dead without being entered.
+    The path is the same whenever the search returns to a state, so a
+    successor off the path on entry never joins it later: the search enters
+    no more states than one that looked only when it reached each
+    successor, and finds the same cycle as one that skipped no state.
     """
-    successors = graph.successors
+    successors, stuck = graph.successors, graph.stuck
     max_states = limits.max_states
     dead: set[int] = set()
+    index = _DeadIndex(graph)  # the states found dead by search; a skipped one adds nothing
+    covered, bury = index.covers, index.add
     on_path: dict[int, int] = {}  # state -> index of the move leaving it; the last is the top
     path_moves: list = []
     stack: list = []  # per state on the path: an iterator over its successors
@@ -295,10 +382,14 @@ def _search(
         while stack:
             for move, state in stack[-1]:
                 if state not in dead:
-                    break
+                    if not stuck(state) and not covered(state):
+                        break
+                    dead.add(state)
             else:  # no live successor left: the top state is dead
                 stack.pop()
-                dead.add(on_path.popitem()[0])
+                state = on_path.popitem()[0]
+                dead.add(state)
+                bury(state)
                 if path_moves:
                     path_moves.pop()
                 continue
@@ -365,9 +456,12 @@ def ops_optimal_heat(
       by bisection in integer units with no search; every candidate below it
       overloads some person.
 
-    A binary search over the candidates between floor and ceiling then probes
-    through `dps_feasible`; a feasible probe lowers the ceiling to its
-    witness's heat. The predecessor candidate of the optimum is certified
+    Probes go through `dps_feasible`, upward from the floor, where the
+    optimum most often lies: the candidates floor + 2^k - 1 for k = 0, 1,
+    2, ... below the ceiling, while they are infeasible (galloping, Bentley
+    and Yao 1976), then a binary search between the last infeasible one and
+    the ceiling. A feasible probe lowers the ceiling to its witness's heat.
+    The predecessor candidate of the optimum is certified
     infeasible: by a probe in the search, or else, below the floor, by one
     probe the load check settles with 0 states. `probes` holds every heat
     passed to `dps_feasible`, in call order. An inconclusive result brackets
@@ -383,13 +477,18 @@ def ops_optimal_heat(
     def cand(i: int) -> Fraction:
         return Fraction(units[i], denom)
 
+    def freqs(i: int) -> tuple[int, ...]:
+        """The frequencies of ops_to_dps(instance, cand(i)), in integer units."""
+        return tuple(units[i] // g for g in scaled)
+
     matchings = functools.cache(
         lambda: enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap))
     probes: dict[Fraction, str] = {}
 
-    def probe(h: Fraction) -> FeasibilityResult:
-        res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=matchings)
-        probes[h] = res.status
+    def probe(i: int) -> FeasibilityResult:
+        res = dps_feasible(DpsInstance(instance.n, instance.edges, freqs(i)), limits,
+                           _matchings=matchings)
+        probes[cand(i)] = res.status
         return res
 
     def heat_index(schedule: PeriodicSchedule) -> int:
@@ -399,16 +498,15 @@ def ops_optimal_heat(
             raise RuntimeError(f"witness heat {h} is not a candidate heat")
         return i
 
-    def overloaded(unit_heat: int) -> bool:
-        freq = [unit_heat // g for g in scaled]
-        return any(load > unit for _, load, unit in _stars(instance.n, instance.edges, freq))
+    def overloaded(i: int) -> bool:
+        return any(load > unit for _, load, unit in _stars(instance.n, instance.edges, freqs(i)))
 
     schedule = round_robin_schedule(instance)  # the witness at cand(hi) throughout
     top = hi = heat_index(schedule)
     floor, passing = 0, hi  # the load check passes at the round-robin heat
     while floor < passing:
         mid = (floor + passing) // 2
-        if overloaded(units[mid]):
+        if overloaded(mid):
             floor = mid + 1
         else:
             passing = mid
@@ -423,17 +521,17 @@ def ops_optimal_heat(
         return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
                                  bracket=(lower, upper), rungs=rungs)
 
-    lo = floor
+    lo, reach = floor, 1  # reach: 2^k while galloping, 0 after a feasible probe
     while lo < hi:
-        mid = (lo + hi) // 2
-        res = probe(cand(mid))
+        mid = floor + reach - 1 if 0 < reach <= hi - floor else (lo + hi) // 2
+        res = probe(mid)
         if res.status == INCONCLUSIVE:
             return inconclusive()
         if res.status == FEASIBLE:
             schedule = res.schedule
-            hi = heat_index(schedule)
+            hi, reach = heat_index(schedule), 0
         else:
-            lo = mid + 1
+            lo, reach = mid + 1, 2 * reach
     if hi < lo:
         raise RuntimeError(f"witness heat {cand(hi)} is below a candidate certified infeasible")
     h_star = cand(hi)
@@ -441,10 +539,10 @@ def ops_optimal_heat(
     # lo only grows past a candidate probed infeasible; a predecessor never
     # probed lies below the floor
     if pred is not None and pred not in probes:
-        probe(pred)
+        probe(hi - 1)
     if pred is not None and probes[pred] != INFEASIBLE:
         raise RuntimeError(f"predecessor invariant: {pred} probed {probes[pred]}")
-    violation = verify_dps(ops_to_dps(instance, h_star), schedule)
+    violation = verify_dps(DpsInstance(instance.n, instance.edges, freqs(hi)), schedule)
     if violation is not None:
         raise RuntimeError(f"witness at heat {h_star} fails verification: {violation}")
     rungs = (None if pred is None else LOAD if hi == floor else SEARCH,

@@ -162,15 +162,33 @@ def naive_successors(state: tuple[int, ...], instance: DpsInstance):
     return [(mm, nxt) for _, _, mm, nxt in out]
 
 
-def reference_search(graph, limits: SearchLimits) -> tuple[str, list | None, int]:
-    """The depth-first cycle search that looks at a successor only when it
-    reaches it, as `exact._search` did before it closed cycles on entry:
-    (status, the moves of a cycle when feasible, states entered)."""
+def reference_search(graph, limits: SearchLimits,
+                     close_on_entry: bool = False) -> tuple[str, list | None, int]:
+    """The depth-first cycle search with plain dead-state memoization:
+    (status, the moves of a cycle when feasible, states entered).
+
+    By default it looks at a successor only when it reaches it, as
+    `exact._search` did before it closed cycles on entry. With
+    `close_on_entry`, entering a state first looks for a successor on the
+    path, as `exact._search` does. Either way it enters every successor it
+    has not found dead: it skips no stuck or dominated state."""
     successors = graph.successors
     dead: set[int] = set()
     on_path: dict[int, int] = {graph.start: 0}
     path_moves: list = []
-    stack = [iter(successors(graph.start))]
+
+    def enter(state):
+        succ = successors(state)
+        if close_on_entry:
+            for mm, nxt in succ:
+                if nxt in on_path:
+                    return succ, path_moves[on_path[nxt]:] + [mm]
+        return succ, None
+
+    succ, cycle = enter(graph.start)
+    if cycle is not None:
+        return FEASIBLE, cycle, 1
+    stack = [iter(succ)]
     explored = 1
     while stack:
         if explored > limits.max_states:
@@ -181,8 +199,11 @@ def reference_search(graph, limits: SearchLimits) -> tuple[str, list | None, int
             if nxt not in dead:
                 on_path[nxt] = len(path_moves) + 1
                 path_moves.append(mm)
-                stack.append(iter(successors(nxt)))
                 explored += 1
+                succ, cycle = enter(nxt)
+                if cycle is not None:
+                    return FEASIBLE, cycle, explored
+                stack.append(iter(succ))
                 break
         else:
             stack.pop()

@@ -114,6 +114,24 @@ def test_bound_methods_match_suite_rows(tmp_path, capsys):
                                                    format_rational(row.bound)]
 
 
+@pytest.mark.parametrize("command", ["solve", "feasible"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-states", "0", "--max-states 0 must be at least 1"),
+    ("--max-states", "-3", "--max-states -3 must be at least 1"),
+    ("--time-limit", "-1", "--time-limit -1 must not be negative"),
+    ("--time-limit", "nan", "--time-limit nan must not be negative"),
+    ("--matching-cap", "-2", "--matching-cap -2 must be at least 1"),
+    ("--matching-cap", "0", "--matching-cap 0 must be at least 1"),
+])
+def test_search_limits_that_allow_no_search_are_usage_errors(tmp_path, capsys, command, flag,
+                                                             value, message):
+    instance = tmp_path / "instance"
+    main(["gen", "figure1" if command == "solve" else "triangle-f2", "-o", str(instance)])
+    capsys.readouterr()
+    assert main([command, str(instance), flag, value]) == EX_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_enumeration_cap(tmp_path, capsys):
     # a path of MATCHING_CAP + 1 = 25 unit edges: only --matching-cap widens
     # the exact solver, and the best bound leaves the poly density out

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import random
@@ -5,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import pytest
 from helpers import (
@@ -54,6 +56,19 @@ def overloaded(inst):
     """Some person's edges claim more than all of its days: sum of 1/f > 1."""
     return any(sum(Fraction(1, f) for (a, b), f in zip(inst.edges, inst.freq) if v in (a, b)) > 1
                for v in range(inst.n))
+
+
+def bench_corpus():
+    """The 230 instances of the bench's solve-seeded corpus, unrelabelled."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up there
+    spec.loader.exec_module(workloads)
+    rng = random.Random(workloads.CORPUS_SEED["ops"])
+    draws = [workloads.family_ops(rng) for _ in range(workloads.SIZES["solve-seeded"]["full"])]
+    return [(f"corpus-{i}", OpsInstance(n, tuple(edges), tuple(growth)))
+            for i, (n, edges, growth) in enumerate(draws)]
 
 
 def config_graph(inst):
@@ -120,6 +135,7 @@ class TestSuccessors:
             for s in all_states(inst):
                 expected = [(mm, graph.pack(nxt)) for mm, nxt in naive_successors(s, inst)]
                 assert graph.successors(graph.pack(s)) == expected, (inst, s)
+                assert graph.stuck(graph.pack(s)) == (expected == []), (inst, s)
 
 
 class TestFeasibility:
@@ -210,7 +226,7 @@ class TestFeasibility:
 
     def test_search_trace_is_pinned(self):
         fig = dps_feasible(ops_to_dps(figure1(), 160))
-        assert (fig.status, fig.explored, fig.schedule.period) == (FEASIBLE, 65, 8)
+        assert (fig.status, fig.explored, fig.schedule.period) == (FEASIBLE, 30, 8)
         assert [sorted(d) for d in fig.schedule.days] == [[1, 6, 7, 9], [0, 2, 4], [1, 6, 7, 9],
             [1, 5, 8, 9], [1, 6, 7, 9], [0, 2, 4], [1, 6, 7, 9], [1, 3, 5]]
         pent = dps_feasible(pentagon())
@@ -218,18 +234,21 @@ class TestFeasibility:
         assert [sorted(d) for d in pent.schedule.days] == [[2, 4], [0, 2], [1, 3]]
         # passes the load check, so the search itself proves infeasibility
         star = dps_feasible(pinwheel_star(2, 3, 12))
-        assert (star.status, star.explored) == (INFEASIBLE, 36)
+        assert (star.status, star.explored) == (INFEASIBLE, 19)
 
     def test_closing_on_entry_enters_no_more_states(self, monkeypatch):
-        # every search of every probe of the seed-5 suite, star searches
+        # every search of every probe of the seed 1-5 suites, star searches
         # included, against the search that looks at a successor only when
-        # it reaches it
+        # it reaches it, and against the one that closes cycles on entry but
+        # skips no stuck or dominated state: a skipped state is truly dead,
+        # so the verdict and the cycle are the same
         search = exact._search
         searched, probed = [], []
 
-        def both(graph, limits, deadline):
+        def all_three(graph, limits, deadline):
             found = search(graph, limits, deadline)
-            searched.append((type(graph), found, reference_search(graph, limits)))
+            searched.append((type(graph), found, reference_search(graph, limits),
+                             reference_search(graph, limits, close_on_entry=True)))
             return found
 
         def recording(instance, *args, **kwargs):
@@ -237,22 +256,24 @@ class TestFeasibility:
             probed.append((instance, result))
             return result
 
-        monkeypatch.setattr(exact, "_search", both)
+        monkeypatch.setattr(exact, "_search", all_three)
         monkeypatch.setattr(exact, "dps_feasible", recording)
-        for _, inst in seeded_suite(5, 200):
-            ops_optimal_heat(inst)
-        entered = {FEASIBLE: [0, 0], INFEASIBLE: [0, 0]}
-        for kind, (status, _, explored), (ref_status, _, ref_explored) in searched:
+        for seed in range(1, 6):
+            for _, inst in seeded_suite(seed, 200):
+                ops_optimal_heat(inst)
+        entered = {FEASIBLE: [0, 0, 0], INFEASIBLE: [0, 0, 0]}
+        for kind, found, reached, on_entry in searched:
+            (status, cycle, explored), (ref_status, _, ref_explored) = found, reached
             assert status == ref_status
-            if status == INFEASIBLE:
-                assert explored == ref_explored
-            else:
-                assert explored <= ref_explored
-            entered[status][0] += explored
-            entered[status][1] += ref_explored
-        assert {kind for kind, _, _ in searched} == {ConfigGraph, PinwheelGraph}
-        assert entered[FEASIBLE][0] < entered[FEASIBLE][1]
-        assert entered[INFEASIBLE][0] > 0
+            assert (status, cycle) == on_entry[:2]
+            assert explored <= on_entry[2] <= ref_explored
+            for i, n in enumerate((explored, on_entry[2], ref_explored)):
+                entered[status][i] += n
+        assert {kind for kind, *_ in searched} == {ConfigGraph, PinwheelGraph}
+        # closing on entry enters no more states than looking on reach, and
+        # skipping stuck and dominated states enters fewer still
+        assert entered[FEASIBLE][0] < entered[FEASIBLE][1] < entered[FEASIBLE][2]
+        assert 0 < entered[INFEASIBLE][0] < entered[INFEASIBLE][1] == entered[INFEASIBLE][2]
         for instance, result in probed:
             if result.status == FEASIBLE:
                 assert verify_dps(instance, result.schedule) is None, instance
@@ -281,8 +302,8 @@ def loaded_star_instance(rng):
 
 class TestStarCheck:
     # pinwheel_star(2, 3, 12) with a leaf joined to a new person 4: with a
-    # large f alone (36 states at the parent too), and to a path 4-5 (the
-    # full search alone takes 143 states)
+    # large f alone (the full search alone takes 19 states too), and to a
+    # path 4-5 (the full search alone takes 34 states)
     SETTLED = [
         DpsInstance(5, ((0, 1), (0, 2), (0, 3), (1, 4)), (2, 3, 12, 50)),
         DpsInstance(6, ((0, 1), (0, 2), (0, 3), (1, 4), (4, 5)), (2, 3, 12, 7, 2)),
@@ -290,10 +311,10 @@ class TestStarCheck:
 
     def test_infeasible_star_settles_the_verdict(self):
         star = dps_feasible(pinwheel_star(2, 3, 12))
-        assert (star.status, star.explored) == (INFEASIBLE, 36)
+        assert (star.status, star.explored) == (INFEASIBLE, 19)
         for inst in self.SETTLED:
             result = dps_feasible(inst)
-            assert (result.status, result.explored) == (INFEASIBLE, 36), inst
+            assert (result.status, result.explored) == (INFEASIBLE, 19), inst
 
     def test_matches_brute_force_on_loaded_stars(self):
         rng = random.Random(89)
@@ -314,10 +335,10 @@ class TestStarCheck:
 
     def test_star_out_of_budget_is_never_infeasible(self):
         for inst in self.SETTLED:
-            for max_states in range(1, 36):
+            for max_states in range(1, 19):
                 result = dps_feasible(inst, SearchLimits(max_states=max_states))
                 assert result.status == INCONCLUSIVE, (inst, max_states)
-            assert dps_feasible(inst, SearchLimits(max_states=36)).status == INFEASIBLE
+            assert dps_feasible(inst, SearchLimits(max_states=19)).status == INFEASIBLE
 
 
 class TestPinwheelGraph:
@@ -338,6 +359,7 @@ class TestPinwheelGraph:
                 expected = [(p, star.pack(sorted_groups(t, freqs)))
                             for (p,), t in naive_successors(s, pinwheel_star(*freqs))]
                 assert graph.successors(star.pack(s)) == expected, (freqs, s)
+                assert graph.stuck(star.pack(s)) == (expected == []), (freqs, s)
 
     def test_search_matches_the_star_graph(self, monkeypatch):
         # every star that the probes of suites 1-5 search, and 400 random
@@ -375,7 +397,45 @@ class TestPinwheelGraph:
             verdicts[status] += 1
         assert min(verdicts.values()) >= 100
         status, _, explored = exact._search(PinwheelGraph((12, 3, 2)), limits, None)
-        assert (status, explored) == (INFEASIBLE, 36)
+        assert (status, explored) == (INFEASIBLE, 19)
+
+
+class TestDeadIndex:
+    # layouts with width-1 fields (f = 1, 2) and f = 2^k and 2^k + 1 at the
+    # field-width boundaries; most pinwheel ones repeat frequencies
+    CONFIG = [
+        DpsInstance(4, ((0, 1), (1, 2), (2, 3), (0, 3)), (1, 2, 8, 9)),
+        DpsInstance(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4)), (3, 4, 5, 16, 17)),
+        DpsInstance(6, ((0, 1), (2, 3), (4, 5), (1, 2), (3, 4)), (2, 2, 2, 1, 33)),
+        DpsInstance(2, ((0, 1),), (1,)),
+    ]
+    PINWHEEL = [(2, 3, 12), (1, 2, 2, 4, 5), (8, 8, 9, 9, 9), (2, 4, 16, 17, 32, 33), (1,)]
+
+    @staticmethod
+    def draw(rng, freq):
+        """A countdown tuple whose fields sit at 1 or at f about half the time."""
+        return tuple(rng.choice((1, f, rng.randint(1, f))) for f in freq)
+
+    def test_covers_is_the_fieldwise_comparison(self):
+        rng = random.Random(103)
+        layouts = [(config_graph(inst), inst.freq) for inst in self.CONFIG]
+        layouts += [(PinwheelGraph(freqs), tuple(sorted(freqs))) for freqs in self.PINWHEEL]
+        found = {True: 0, False: 0}
+        for graph, freq in layouts:
+            for _ in range(30):
+                index = exact._DeadIndex(graph)
+                dead = [self.draw(rng, freq) for _ in range(rng.randint(0, 60))]
+                for d in dead:
+                    index.add(graph.pack(d))
+                queries = [self.draw(rng, freq) for _ in range(40)]
+                # at and just below dead states, where the answer turns
+                queries += [tuple(max(1, u - rng.randint(0, 1)) for u in d) for d in dead[:20]]
+                queries += [tuple(min(f, u + 1) for u, f in zip(d, freq)) for d in dead[:20]]
+                for q in queries:
+                    naive = any(all(a >= b for a, b in zip(d, q)) for d in dead)
+                    assert index.covers(graph.pack(q)) == naive, (freq, dead, q)
+                    found[naive] += 1
+        assert min(found.values()) >= 1000
 
 
 class TestOptimalHeat:
@@ -399,8 +459,9 @@ class TestOptimalHeat:
         assert (result.predecessor, result.rungs) == (None, (None, ROUND_ROBIN))
 
     def test_matches_the_plain_binary_search(self):
-        for seed in range(1, 6):
-            for name, inst in seeded_suite(seed, 200):
+        suites = [seeded_suite(seed, 200) for seed in range(1, 6)] + [bench_corpus()]
+        for suite in suites:
+            for name, inst in suite:
                 result = ops_optimal_heat(inst)
                 expected = reference_optimal_heat(inst)
                 assert (result.heat, result.predecessor) == (expected.heat, expected.predecessor), name
@@ -408,6 +469,39 @@ class TestOptimalHeat:
                 assert heat(inst, result.schedule) == result.heat, name
                 if result.predecessor is not None:
                     assert result.probes[result.predecessor] == INFEASIBLE, name
+
+    def test_probes_gallop_up_from_the_floor(self):
+        # while they are infeasible, the candidates floor + 2^k - 1 below
+        # the ceiling are probed in turn, so the first probe is the floor
+        galloped = 0
+        for seed in range(1, 6):
+            for name, inst in seeded_suite(seed, 200):
+                cands = heat_candidates(inst)
+                floor = next(i for i, h in enumerate(cands) if not overloaded(ops_to_dps(inst, h)))
+                ceiling = cands.index(heat(inst, round_robin_schedule(inst)))
+                probes = list(ops_optimal_heat(inst).probes.items())
+                if floor == ceiling:
+                    # at most the predecessor, which the load check settles
+                    assert [h for h, _ in probes] in ([], [cands[floor - 1]]), name
+                    continue
+                gallop = [cands[floor + 2**k - 1] for k in range(ceiling.bit_length())
+                          if floor + 2**k - 1 < ceiling]
+                assert probes[0][0] == cands[floor], name
+                for h, (probed, verdict) in zip(gallop, probes):
+                    assert probed == h, name
+                    if verdict == FEASIBLE:
+                        break
+                    galloped += 1
+        assert galloped >= 400
+
+    def test_skipping_dead_states_keeps_a_large_proof_small(self):
+        # the infeasible predecessor probe of rand-5-48 enters 2,063 states;
+        # 61,603 when the search skips no state, 23,710 when it skips only
+        # the stuck ones, 3,639 when only the dominated ones
+        inst = dict(seeded_suite(5, 200))["rand-5-48"]
+        result = dps_feasible(ops_to_dps(inst, 23))
+        assert result.status == INFEASIBLE
+        assert result.explored <= 2500
 
     def test_probes_are_the_heats_dps_feasible_received(self, monkeypatch):
         # the bench's tracer zips `probes` with the `dps_feasible` spans
@@ -529,13 +623,14 @@ class TestOptimalHeat:
 
     def test_budget_runs_out_inside_the_search(self):
         # the load check fails at 17 and passes at 18, the round-robin
-        # schedule has heat 24, and the first probe, at 21, runs out of states
+        # schedule has heat 24, and the first probe, at the floor 18, runs
+        # out of states (it needs 34)
         inst = dict(seeded_suite(1, 6))["rand-1-5"]
-        result = ops_optimal_heat(inst, SearchLimits(max_states=100))
+        result = ops_optimal_heat(inst, SearchLimits(max_states=20))
         assert result.status == INCONCLUSIVE
         assert result.bracket == (17, 24)
         assert result.rungs == (LOAD, ROUND_ROBIN)
-        assert result.probes == {Fraction(21): INCONCLUSIVE}
+        assert result.probes == {Fraction(18): INCONCLUSIVE}
         assert ops_optimal_heat(inst).heat == 24
 
     def test_matches_brute_force_heat_on_tiny_instances(self):
