@@ -14,17 +14,22 @@ so every move open to s is open to d, and after the same move d's
 countdowns are again all >= s's. Any infinite walk from s would replay from
 d. So before it descends into a successor, the search asks `_DeadIndex`
 whether some state it found dead is fieldwise >= it, and if so skips it as
-dead. It skips a successor that has no successor of its own (no move
-covers its must-set) the same way, without entering it. A skipped state is
-truly dead, so the search enters the same live states in the same order
-and finds the same cycle; it only enters fewer dead ones.
+dead. It skips a successor that has no successor of its own the same way,
+without entering it: one with two due edges at one person, which no
+matching covers (a must-set that is a matching extends to a maximal one).
+A skipped state is truly dead, so the search enters the same live states in
+the same order and finds the same cycle; it only enters fewer dead ones.
+The index is the search's only memory of dead states, and it holds only
+states the search entered (each covers itself), so the search's memory
+grows with the states it enters and `max_states` bounds it.
 
 `ConfigGraph` packs a state into one int: per edge, max(1, bit_length(f - 1))
 low bits hold countdown - 1 below a guard bit that is clear in every stored
 state. With all guards set (`lifted`), subtracting one per field never
 borrows across fields, and the guards left clear in ``lifted - ones`` and
 ``lifted - 2*ones`` mark the countdown-1 edges (the must-set) and the
-countdown <= 2 edges (relief).
+countdown <= 2 edges (relief). The guards of the edges at one person, one
+mask per person of two or more edges, find two due edges at one person.
 
 Before the full search, `dps_feasible` searches the star of each person: the
 pinwheel instance of that person's sorted frequencies, one edge per day. An
@@ -80,6 +85,10 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class SearchLimits:
+    """The budget of each search of a `dps_feasible` call. A search's memory
+    grows with the states it enters, so `max_states` bounds memory as well
+    as time; `time_limit` is one deadline for all the call's searches."""
+
     max_states: int = 50_000_000
     time_limit: float | None = None  # seconds
 
@@ -93,37 +102,55 @@ class FeasibilityResult:
 
 class _Fields:
     """The packing of countdown tuples over the frequencies `freq` (see the
-    module docstring): per field its offset, low-bit mask and guard bit."""
+    module docstring): per field its offset, low-bit mask and guard bit, and
+    per person of two or more fields the guards of its fields (`ends` holds
+    each field's persons)."""
 
-    def __init__(self, freq):
+    def __init__(self, freq, ends):
         self.offsets: list[int] = []
         self.low: list[int] = []
         self.guard: list[int] = []
+        at: dict[int, int] = {}  # person -> the guards of its fields
         off = 0
-        for f in freq:
+        for f, persons in zip(freq, ends):
             w = max(1, (f - 1).bit_length())
             self.offsets.append(off)
             self.low.append(((1 << w) - 1) << off)
             self.guard.append(1 << (off + w))
+            for v in persons:
+                at[v] = at.get(v, 0) | self.guard[-1]
             off += w + 1
         self.guards = sum(self.guard)
         self.ones = sum(1 << o for o in self.offsets)
         self.twos = 2 * self.ones
         self.start = self.pack(freq)
+        self.shared = [mask for mask in at.values() if mask & (mask - 1)]
 
     def pack(self, state: tuple[int, ...]) -> int:
         return sum((u - 1) << o for u, o in zip(state, self.offsets))
 
+    def stuck(self, packed: int) -> bool:
+        """Whether `packed` has no successor: two due edges at one person."""
+        must = self.guards & ~((packed | self.guards) - self.ones)
+        for mask in self.shared:
+            due = must & mask
+            if due & (due - 1):
+                return True
+        return False
+
 
 class ConfigGraph(_Fields):
-    """The configuration graph of one instance over a fixed list of matchings.
+    """The configuration graph of one instance over its maximal matchings.
 
-    States are packed ints (see the module docstring); `start` is the all-f
-    state and `pack` encodes a countdown tuple.
+    `matchings` must be every maximal matching of the instance, as
+    `enumerate_maximal_matchings` gives: `stuck` relies on every matching
+    extending to one of them. States are packed ints (see the module
+    docstring); `start` is the all-f state and `pack` encodes a countdown
+    tuple.
     """
 
     def __init__(self, instance: DpsInstance, matchings: list[frozenset[int]]):
-        super().__init__(instance.freq)
+        super().__init__(instance.freq, instance.edges)
         low, guard = self.low, self.guard
         # per matching, in sorted-edge-list order: its edges' guard bits, the
         # other edges' low bits, and its edges' fields reset to f - 1
@@ -144,7 +171,9 @@ class ConfigGraph(_Fields):
         dec = lifted - self.ones
         must = self.guards & ~dec
         relief = self.guards & ~(lifted - self.twos)
-        fit = self._covering(must)
+        fit = self._fit.get(must)
+        if fit is None:
+            fit = self._fit[must] = [move for move in self.moves if must & move[1] == must]
         if relief == must:
             # every move covers the must-set, so every relief count is equal
             return [(mm, (dec & keep) | reset) for mm, _, keep, reset in fit]
@@ -153,33 +182,24 @@ class ConfigGraph(_Fields):
         out.sort()  # the index breaks ties in move order, so sets are never compared
         return [(mm, nxt) for _, _, mm, nxt in out]
 
-    def stuck(self, packed: int) -> bool:
-        """Whether `packed` has no successor: no matching covers its must-set."""
-        return not self._covering(self.guards & ~((packed | self.guards) - self.ones))
-
-    def _covering(self, must: int) -> list:
-        fit = self._fit.get(must)
-        if fit is None:
-            fit = self._fit[must] = [move for move in self.moves if must & move[1] == must]
-        return fit
-
 
 class PinwheelGraph(_Fields):
     """The configuration graph of a pinwheel instance, one task per day, with
     the states that differ only by a permutation of equal frequencies merged.
 
     Fields are laid out as `ConfigGraph`'s over the ascending frequencies,
-    and each run (group) of equal frequencies keeps its countdowns
-    ascending. Scheduling the task at position p shifts the higher fields of
-    its group down one place and sets f - 1 in the group's top field, so a
-    successor is sorted whenever its state is, with no re-sorting. A move is
-    labelled by its position. With no frequency repeated, the successors
-    are `ConfigGraph`'s over the star of singleton matchings, in its order.
+    all at one person, and each run (group) of equal frequencies keeps its
+    countdowns ascending. Scheduling the task at position p shifts the
+    higher fields of its group down one place and sets f - 1 in the group's
+    top field, so a successor is sorted whenever its state is, with no
+    re-sorting. A move is labelled by its position. With no frequency
+    repeated, the successors are `ConfigGraph`'s over the star of singleton
+    matchings, in its order.
     """
 
     def __init__(self, freqs):
         freqs = sorted(freqs)
-        super().__init__(freqs)
+        super().__init__(freqs, [(0,)] * len(freqs))
         low, guard, offsets = self.low, self.guard, self.offsets
         # per position p of a group [a, b): its guard bit, the low bits that
         # stay (outside the group and below p), the low bits that move down
@@ -210,11 +230,6 @@ class PinwheelGraph(_Fields):
                 moves = self._ordered[relief] = sorted(self.moves, key=lambda m: not relief & m[1])
         return [(p, (dec & keep) | ((dec & above) >> width) | reset)
                 for p, _, keep, above, width, reset in moves]
-
-    def stuck(self, packed: int) -> bool:
-        """Whether `packed` has no successor: two tasks are due at once."""
-        must = self.guards & ~((packed | self.guards) - self.ones)
-        return must & (must - 1) != 0
 
 
 class _DeadIndex:
@@ -351,19 +366,20 @@ def _search(
 
     Entering a state lists its successors and closes the cycle at once if
     one of them is on the path; otherwise the search descends into the first
-    successor not known dead, and a state with none left is dead. A
-    successor is known dead when it was found dead before, when it has no
-    successor itself (`stuck`), or when a state found dead is fieldwise >=
-    it (`_DeadIndex`); the last two are marked dead without being entered.
-    The path is the same whenever the search returns to a state, so a
-    successor off the path on entry never joins it later: the search enters
-    no more states than one that looked only when it reached each
-    successor, and finds the same cycle as one that skipped no state.
+    successor not known dead, and a state with none left is dead and goes
+    into `_DeadIndex`. A successor is known dead, and is not entered, when
+    it has no successor itself (`stuck`: two due edges at one person) or
+    when a state found dead is fieldwise >= it (`covered`; a state found
+    dead covers itself). The index is the search's only memory of dead
+    states, so memory grows with the states entered. The path is the same
+    whenever the search returns to a state, so a successor off the path on
+    entry never joins it later: the search enters no more states than one
+    that looked only when it reached each successor, and finds the same
+    cycle as one that skipped no state.
     """
     successors, stuck = graph.successors, graph.stuck
     max_states = limits.max_states
-    dead: set[int] = set()
-    index = _DeadIndex(graph)  # the states found dead by search; a skipped one adds nothing
+    index = _DeadIndex(graph)  # the states found dead; a skipped one adds nothing
     covered, bury = index.covers, index.add
     on_path: dict[int, int] = {}  # state -> index of the move leaving it; the last is the top
     path_moves: list = []
@@ -381,15 +397,11 @@ def _search(
         stack.append(iter(succ))
         while stack:
             for move, state in stack[-1]:
-                if state not in dead:
-                    if not stuck(state) and not covered(state):
-                        break
-                    dead.add(state)
+                if not stuck(state) and not covered(state):
+                    break
             else:  # no live successor left: the top state is dead
                 stack.pop()
-                state = on_path.popitem()[0]
-                dead.add(state)
-                bury(state)
+                bury(on_path.popitem()[0])
                 if path_moves:
                     path_moves.pop()
                 continue

@@ -67,6 +67,17 @@ def test_feasible_exit_codes(tmp_path):
     assert main(["feasible", str(pent), "--max-states", "1"]) == EX_INCONCLUSIVE
 
 
+def test_feasible_on_an_edgeless_instance(tmp_path, capsys):
+    # no edges, so no fields and no state is stuck: the start state steps to
+    # itself by the empty matching
+    dps, sched = tmp_path / "empty.dps", tmp_path / "empty.sched"
+    dps.write_text("dps 3 0\n")
+    assert main(["feasible", str(dps), "--emit-schedule", str(sched)]) == EX_OK
+    assert capsys.readouterr().out == "feasible (explored 1 states)\n"
+    assert sched.read_text() == "sched 1\n\n"
+    assert main(["verify", str(dps), str(sched)]) == EX_OK
+
+
 def test_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.ops"
     bad.write_text("ops 2 1\n0 1 zero\n")

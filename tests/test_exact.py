@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -94,6 +95,21 @@ def sorted_groups(state, freqs):
         for i, u in zip(at, sorted(state[i] for i in at)):
             out[i] = u
     return tuple(out)
+
+
+def dead_states(inst):
+    """The states of the explicit configuration graph that no infinite walk
+    leaves: remove states whose successors are all removed, until none is."""
+    succ = {s: [t for _, t in naive_successors(s, inst)] for s in all_states(inst)}
+    alive = set(succ)
+    changed = True
+    while changed:
+        changed = False
+        for s in list(alive):
+            if not any(t in alive for t in succ[s]):
+                alive.discard(s)
+                changed = True
+    return set(succ) - alive
 
 
 class TestSuccessors:
@@ -277,6 +293,60 @@ class TestFeasibility:
         for instance, result in probed:
             if result.status == FEASIBLE:
                 assert verify_dps(instance, result.schedule) is None, instance
+
+    def test_every_state_against_the_explicit_graph(self, monkeypatch):
+        # a search from each state of tiny instances, and from each sorted
+        # state of tiny pinwheel instances: infeasible exactly when the state
+        # is dead in the explicit graph, and every state it buries is dead
+        buried = []
+
+        class Recording(exact._DeadIndex):
+            def add(self, state):
+                buried.append(state)
+                super().add(state)
+
+        monkeypatch.setattr(exact, "_DeadIndex", Recording)
+        rng = random.Random(107)
+        cases = []
+        for _ in range(150):
+            inst = random_dps(rng, max_n=5, max_m=4, max_f=4)
+            graph = config_graph(inst)
+            cases.append((graph, [graph.pack(s) for s in all_states(inst)],
+                          {graph.pack(s) for s in dead_states(inst)}))
+        for _ in range(150):
+            freqs = tuple(sorted(rng.randint(1, 6) for _ in range(rng.randint(2, 4))))
+            star, plain = pinwheel_star(*freqs), star_graph(freqs)
+            states = [s for s in all_states(star) if sorted_groups(s, freqs) == s]
+            cases.append((PinwheelGraph(freqs), [plain.pack(s) for s in states],
+                          {plain.pack(s) for s in dead_states(star)}))
+        counts = {ConfigGraph: [0, 0, 0], PinwheelGraph: [0, 0, 0]}  # feasible, infeasible, buried
+        for graph, states, dead in cases:
+            for state in states:
+                graph.start = state
+                buried.clear()
+                status, _, _ = exact._search(graph, SearchLimits(), None)
+                assert (status == INFEASIBLE) == (state in dead), (graph.moves, state)
+                assert set(buried) <= dead, (graph.moves, state)
+                count = counts[type(graph)]
+                count[status == INFEASIBLE] += 1
+                count[2] += len(buried)
+        for count in counts.values():
+            assert min(count[:2]) >= 300 and count[2] >= 300, counts
+
+    def test_memory_grows_with_the_states_entered(self):
+        # stuck successors of a unit-growth instance at 24 edges are never
+        # stored, so a 300-state budget holds the search to a small trace
+        pairs = [(a, b) for a in range(12) for b in range(a + 1, 12)]
+        edges = tuple(sorted(random.Random(2).sample(pairs, 24)))
+        inst = DpsInstance(12, edges, (5,) * 24)
+        tracemalloc.start()
+        try:
+            result = dps_feasible(inst, SearchLimits(max_states=300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.status, result.explored) == (INCONCLUSIVE, 301)
+        assert peak < 2 * 2**20, peak
 
 
 def loaded_star_instance(rng):
