@@ -55,15 +55,16 @@ ceiling. The least candidate whose frequencies pass the load check, found by
 bisection in integer units without any search, is the floor. Only candidates
 between the two are probed. The optimum most often sits at or just above the
 floor, so the probes gallop up from it (Bentley and Yao, Inf. Process. Lett.
-1976) and bisect only once a probe is feasible.
+1976) and bisect only once a probe is feasible. The probes differ only in
+their frequencies, so one `_EdgeSet` serves the floor bisection and every
+probe: each person's edge indices for the load check, and the maximal
+matchings, enumerated once, by the first probe that reaches the full search.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -121,6 +122,7 @@ class _Fields:
                 at[v] = at.get(v, 0) | self.guard[-1]
             off += w + 1
         self.guards = sum(self.guard)
+        self.every = sum(self.low)
         self.ones = sum(1 << o for o in self.offsets)
         self.twos = 2 * self.ones
         self.start = self.pack(freq)
@@ -155,7 +157,7 @@ class ConfigGraph(_Fields):
         # per matching, in sorted-edge-list order: its edges' guard bits, the
         # other edges' low bits, and its edges' fields reset to f - 1
         self.moves = [(frozenset(mm), sum(guard[e] for e in mm),
-                       sum(low[e] for e in range(instance.m) if e not in mm),
+                       self.every - sum(low[e] for e in mm),
                        sum((instance.freq[e] - 1) << self.offsets[e] for e in mm))
                       for mm in sorted(matchings, key=sorted)]
         self._fit: dict[int, list] = {}  # must-set -> the moves covering it, in order
@@ -206,10 +208,9 @@ class PinwheelGraph(_Fields):
         # one field (above p), the bits of one field and the top field set
         # to f - 1
         self.moves = []
-        every = sum(low)
         for p, f in enumerate(freqs):
             b = freqs.index(f) + freqs.count(f)
-            self.moves.append((p, guard[p], every - sum(low[p:b]), sum(low[p + 1:b]),
+            self.moves.append((p, guard[p], self.every - sum(low[p:b]), sum(low[p + 1:b]),
                                guard[p].bit_length() - offsets[p], (f - 1) << offsets[b - 1]))
         self._urgent = {move[1]: [move] for move in self.moves}  # a lone due task -> its move
         self._ordered: dict[int, list] = {}  # relief -> the moves, relieving ones first
@@ -292,23 +293,43 @@ class _DeadIndex:
 STAR_SKIP_LOAD = Fraction(5, 6)
 
 
-def _stars(n: int, edges, freq) -> list[tuple[list[int], int, int]]:
-    """Per person: its edges' frequencies and its load sum(1/f) as the integer
-    sum(unit // f) over `unit`, the lcm of those frequencies.
+class _EdgeSet:
+    """The work that the `dps_feasible` probes of one edge set share: each
+    person's edge indices, for the load check, and the maximal matchings,
+    enumerated on first use, for the full search.
 
     The load check needs load <= 1 at every person: a person serves one edge
     per day, and edge e claims a 1/f(e) share of its endpoints' days in the
     long run.
     """
-    star: list[list[int]] = [[] for _ in range(n)]
-    for (a, b), f in zip(edges, freq):
-        star[a].append(f)
-        star[b].append(f)
-    out = []
-    for freqs in star:
-        unit = math.lcm(*freqs)
-        out.append((freqs, sum(unit // f for f in freqs), unit))
-    return out
+
+    def __init__(self, n: int, edges, matching_cap: int):
+        self.n, self.edges, self.matching_cap = n, edges, matching_cap
+        self.at: list[list[int]] = [[] for _ in range(n)]  # person -> its edges
+        for e, (a, b) in enumerate(edges):
+            self.at[a].append(e)
+            self.at[b].append(e)
+        self._matchings: list[frozenset[int]] | None = None
+
+    def stars(self, freq) -> list[tuple[list[int], int, int]] | None:
+        """Per person under the frequencies `freq`: its edges' frequencies
+        and its load sum(1/f) as the integer sum(unit // f) over `unit`, the
+        lcm of those frequencies; None when some load exceeds its unit."""
+        out = []
+        for star in self.at:
+            freqs = [freq[e] for e in star]
+            unit = math.lcm(*freqs)
+            load = sum(unit // f for f in freqs)
+            if load > unit:
+                return None
+            out.append((freqs, load, unit))
+        return out
+
+    def matchings(self) -> list[frozenset[int]]:
+        """Every maximal matching; raises `MatchingCapExceeded` above the cap."""
+        if self._matchings is None:
+            self._matchings = enumerate_maximal_matchings(self.n, self.edges, cap=self.matching_cap)
+        return self._matchings
 
 
 def dps_feasible(
@@ -316,7 +337,7 @@ def dps_feasible(
     limits: SearchLimits | None = None,
     matching_cap: int = MATCHING_CAP,
     *,
-    _matchings: Callable[[], list[frozenset[int]]] | None = None,
+    _edge_set: _EdgeSet | None = None,
 ) -> FeasibilityResult:
     """Decide feasibility: the load check, the star checks (see the module
     docstring), then the depth-first cycle search from the all-f state.
@@ -330,15 +351,17 @@ def dps_feasible(
     infeasibility (no more than the star's plain states, and as many when no
     frequency repeats), else the full search's, which a feasible or
     inconclusive star leaves unchanged. Each search gets `max_states`; all
-    share one `time_limit` deadline.
-    `_matchings` lets `ops_optimal_heat` share one enumeration of the
-    maximal matchings among its probes, which share the edge set; it is
-    called only when the full search runs.
+    share one `time_limit` deadline. The maximal matchings are enumerated
+    only when the full search runs. `_edge_set` is the `_EdgeSet` of
+    `ops_optimal_heat`, shared by its probes, which share the edge set; it
+    holds its own `matching_cap`. Without it the call builds its own.
     """
     limits = limits or SearchLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
-    stars = _stars(instance.n, instance.edges, instance.freq)
-    if any(load > unit for _, load, unit in stars):
+    if _edge_set is None:
+        _edge_set = _EdgeSet(instance.n, instance.edges, matching_cap)
+    stars = _edge_set.stars(instance.freq)
+    if stars is None:
         return FeasibilityResult(INFEASIBLE, None, 0)
     skip_num, skip_den = STAR_SKIP_LOAD.numerator, STAR_SKIP_LOAD.denominator
     for freqs, load, unit in stars:
@@ -347,11 +370,8 @@ def dps_feasible(
         status, _, explored = _search(PinwheelGraph(freqs), limits, deadline)
         if status == INFEASIBLE:
             return FeasibilityResult(INFEASIBLE, None, explored)
-    if _matchings is None:
-        matchings = enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap)
-    else:
-        matchings = _matchings()
-    status, cycle, explored = _search(ConfigGraph(instance, matchings), limits, deadline)
+    graph = ConfigGraph(instance, _edge_set.matchings())
+    status, cycle, explored = _search(graph, limits, deadline)
     schedule = None if cycle is None else PeriodicSchedule(len(cycle), tuple(cycle))
     return FeasibilityResult(status, schedule, explored)
 
@@ -479,27 +499,28 @@ def ops_optimal_heat(
     passed to `dps_feasible`, in call order. An inconclusive result brackets
     the optimum above the largest infeasible probe (or the floor's
     predecessor) and at or below the smallest feasible probe (or the
-    round-robin heat). The maximal matchings are enumerated once, by the
-    first probe that reaches the full search, so an instance above
+    round-robin heat). One `_EdgeSet` runs the floor's load checks and is
+    handed to every probe, so the maximal matchings are enumerated once, by
+    the first probe that reaches the full search, and an instance above
     `matching_cap` raises `MatchingCapExceeded` only when one does.
     """
     denom, scaled, units = _scaled_candidates(instance)
     index = {c: i for i, c in enumerate(units)}
+    edge_set = _EdgeSet(instance.n, instance.edges, matching_cap)
 
-    def cand(i: int) -> Fraction:
-        return Fraction(units[i], denom)
+    def cand(i: int) -> Fraction | None:
+        """The candidate at index i; None below the least."""
+        return Fraction(units[i], denom) if i >= 0 else None
 
     def freqs(i: int) -> tuple[int, ...]:
         """The frequencies of ops_to_dps(instance, cand(i)), in integer units."""
         return tuple(units[i] // g for g in scaled)
 
-    matchings = functools.cache(
-        lambda: enumerate_maximal_matchings(instance.n, instance.edges, cap=matching_cap))
     probes: dict[Fraction, str] = {}
 
     def probe(i: int) -> FeasibilityResult:
         res = dps_feasible(DpsInstance(instance.n, instance.edges, freqs(i)), limits,
-                           _matchings=matchings)
+                           _edge_set=edge_set)
         probes[cand(i)] = res.status
         return res
 
@@ -510,44 +531,40 @@ def ops_optimal_heat(
             raise RuntimeError(f"witness heat {h} is not a candidate heat")
         return i
 
-    def overloaded(i: int) -> bool:
-        return any(load > unit for _, load, unit in _stars(instance.n, instance.edges, freqs(i)))
-
     schedule = round_robin_schedule(instance)  # the witness at cand(hi) throughout
     top = hi = heat_index(schedule)
     floor, passing = 0, hi  # the load check passes at the round-robin heat
     while floor < passing:
         mid = (floor + passing) // 2
-        if overloaded(mid):
+        if edge_set.stars(freqs(mid)) is None:
             floor = mid + 1
         else:
             passing = mid
 
-    def inconclusive() -> OptimalHeatResult:
-        infeasible = [h for h, v in probes.items() if v == INFEASIBLE]
-        feasible = [h for h, v in probes.items() if v == FEASIBLE]
-        lower = max(infeasible, default=cand(floor - 1) if floor else None)
-        upper = min(feasible, default=cand(top))
-        rungs = (SEARCH if infeasible else LOAD if floor else None,
-                 SEARCH if feasible else ROUND_ROBIN)
-        return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
-                                 bracket=(lower, upper), rungs=rungs)
+    def rungs(lower: int, upper: int) -> tuple[str | None, str]:
+        """The rungs that settled the candidates at indices lower and upper."""
+        return (None if lower < 0 else LOAD if lower < floor else SEARCH,
+                ROUND_ROBIN if upper == top else SEARCH)
 
-    lo, reach = floor, 1  # reach: 2^k while galloping, 0 after a feasible probe
+    # probes rise past infeasible ones and fall past feasible ones, so lo - 1
+    # is the greatest infeasible probe (or the floor's predecessor) and upper
+    # the least feasible one (or the round-robin heat)
+    lo, upper, reach = floor, top, 1  # reach: 2^k while galloping, 0 after a feasible probe
     while lo < hi:
         mid = floor + reach - 1 if 0 < reach <= hi - floor else (lo + hi) // 2
         res = probe(mid)
         if res.status == INCONCLUSIVE:
-            return inconclusive()
+            return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
+                                     bracket=(cand(lo - 1), cand(upper)),
+                                     rungs=rungs(lo - 1, upper))
         if res.status == FEASIBLE:
             schedule = res.schedule
-            hi, reach = heat_index(schedule), 0
+            upper, hi, reach = mid, heat_index(schedule), 0
         else:
             lo, reach = mid + 1, 2 * reach
     if hi < lo:
         raise RuntimeError(f"witness heat {cand(hi)} is below a candidate certified infeasible")
-    h_star = cand(hi)
-    pred = cand(hi - 1) if hi > 0 else None
+    h_star, pred = cand(hi), cand(hi - 1)
     # lo only grows past a candidate probed infeasible; a predecessor never
     # probed lies below the floor
     if pred is not None and pred not in probes:
@@ -557,6 +574,4 @@ def ops_optimal_heat(
     violation = verify_dps(DpsInstance(instance.n, instance.edges, freqs(hi)), schedule)
     if violation is not None:
         raise RuntimeError(f"witness at heat {h_star} fails verification: {violation}")
-    rungs = (None if pred is None else LOAD if hi == floor else SEARCH,
-             ROUND_ROBIN if hi == top else SEARCH)
-    return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes, rungs=rungs)
+    return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes, rungs=rungs(hi - 1, hi))

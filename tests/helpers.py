@@ -28,7 +28,6 @@ from polysched.exact import (
     dps_feasible,
     heat_candidates,
 )
-from polysched.matchings import enumerate_maximal_matchings
 from polysched.simplex import LpSolution
 
 
@@ -362,13 +361,12 @@ def reference_optimal_heat(instance: OpsInstance, limits=None) -> OptimalHeatRes
     (Delta+1)*g_max included, that `ops_optimal_heat` must equal in heat and
     predecessor."""
     cands = heat_candidates(instance)
-    matchings = enumerate_maximal_matchings(instance.n, instance.edges)
     probes: dict[Fraction, str] = {}
     witnesses: dict[Fraction, PeriodicSchedule] = {}
 
     def probe(h: Fraction) -> str:
         if h not in probes:
-            res = dps_feasible(ops_to_dps(instance, h), limits, _matchings=lambda: matchings)
+            res = dps_feasible(ops_to_dps(instance, h), limits)
             probes[h] = res.status
             if res.status == FEASIBLE:
                 witnesses[h] = res.schedule

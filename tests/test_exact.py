@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -42,6 +44,9 @@ from polysched.generators import (
 )
 from polysched.matchings import MATCHING_CAP, MatchingCapExceeded, enumerate_maximal_matchings
 from polysched.report import seeded_suite
+
+# `TestOptimalHeat.test_results_are_pinned`: every `ops_optimal_heat` result
+RESULTS_DIGEST = "4709932e87c910850ff3fe21cab9fd63635458714b7169b7bf560e88b6a4a238"
 
 
 def random_dps(rng, max_n=5, max_m=5, max_f=4):
@@ -173,6 +178,21 @@ class TestFeasibility:
         days = [t for t in range(horizon)
                 if cd in result.schedule.days[t % result.schedule.period]]
         assert len({d % 3 for d in days}) >= 2
+
+    def test_load_check_is_the_fraction_rule(self):
+        # infeasible with no state entered exactly when some person's 1/f
+        # shares sum past 1; a search always enters its start state
+        rng = random.Random(61)
+        seen = Counter()
+        for _ in range(400):
+            inst = random_dps(rng, max_n=7, max_m=6, max_f=4)
+            result = dps_feasible(inst, SearchLimits(max_states=50))
+            expected = overloaded(inst)
+            assert (result.status == INFEASIBLE and result.explored == 0) == expected, inst
+            seen[expected] += 1
+            seen["edgeless person"] += len({v for edge in inst.edges for v in edge}) < inst.n
+            seen["f = 1"] += 1 in inst.freq
+        assert min(seen.values()) >= 50, seen
 
     def test_witness_always_verifies(self):
         rng = random.Random(53)
@@ -540,6 +560,28 @@ class TestOptimalHeat:
                 if result.predecessor is not None:
                     assert result.probes[result.predecessor] == INFEASIBLE, name
 
+    def test_results_are_pinned(self):
+        # one sha256 over every result on the seeded suites and the bench
+        # corpus, at the default limits and at small budgets; a change that
+        # moves a probe, a bracket or a witness must re-record it on purpose
+        def line(result):
+            schedule, bracket = result.schedule, result.bracket
+            if schedule is not None:
+                schedule = schedule.period, [sorted(day) for day in schedule.days]
+            if bracket is not None:
+                bracket = tuple(map(str, bracket))
+            return repr((result.status, str(result.heat), str(result.predecessor),
+                         [(str(h), v) for h, v in result.probes.items()],
+                         bracket, result.rungs, schedule))
+
+        suites = [seeded_suite(seed, 200) for seed in range(1, 6)] + [bench_corpus()]
+        lines = [line(ops_optimal_heat(inst, limits))
+                 for limits in (None, *(SearchLimits(max_states=k) for k in (1, 5, 20, 50)))
+                 for suite in suites for _, inst in suite]
+        assert len(lines) == 6150
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == RESULTS_DIGEST
+
     def test_probes_gallop_up_from_the_floor(self):
         # while they are infeasible, the candidates floor + 2^k - 1 below
         # the ceiling are probed in turn, so the first probe is the floor
@@ -600,16 +642,26 @@ class TestOptimalHeat:
             calls.append(args)
             return enumerate_maximal_matchings(*args, **kwargs)
 
+        built = []
+
+        class CountingEdgeSet(exact._EdgeSet):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
         monkeypatch.setattr(exact, "enumerate_maximal_matchings", counting)
+        monkeypatch.setattr(exact, "_EdgeSet", CountingEdgeSet)
         # 30 disjoint unit edges, above the enumeration cap: the load floor
         # meets the round-robin ceiling at g_max, so nothing is probed
         disjoint = OpsInstance(60, tuple((2 * i, 2 * i + 1) for i in range(30)), (1,) * 30)
         result = ops_optimal_heat(disjoint)
-        assert (result.heat, result.probes, calls) == (1, {}, [])
-        # figure 1: the searches share one enumeration, and the predecessor
-        # probe the load check settles adds none
+        assert (result.heat, result.probes, calls, len(built)) == (1, {}, [], 1)
+        # figure 1: the probes share one context and so one enumeration, and
+        # the predecessor probe the load check settles adds none
+        built.clear()
         result = ops_optimal_heat(figure1())
         assert result.rungs == (LOAD, SEARCH) and len(calls) == 1
+        assert len(result.probes) > 1 and len(built) == 1
         # a path of MATCHING_CAP + 1 unit edges needs a search and still raises
         path = OpsInstance(MATCHING_CAP + 2, tuple((i, i + 1) for i in range(MATCHING_CAP + 1)),
                            (1,) * (MATCHING_CAP + 1))
