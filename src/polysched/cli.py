@@ -22,7 +22,6 @@ from .core import (
 )
 from .exact import FEASIBLE, INFEASIBLE, SearchLimits, dps_feasible, ops_optimal_heat
 from .fileio import (
-    ParseError,
     emit_instance,
     emit_schedule,
     format_rational,
@@ -40,6 +39,7 @@ from .report import format_table, run_one, run_suite, seeded_suite
 from .satred import (
     CnfFormula,
     DeferredArtifact,
+    ExtractionError,
     SynthesisRefused,
     compile_formula,
     emit_sidecar,
@@ -62,46 +62,42 @@ class CliError(Exception):
         self.code = code
 
 
-def _read(path: str) -> str:
+def _parse(path: str, parse, *args):
+    """`parse(*args, text)` of the file at `path`. A file that cannot be read
+    is a usage error (64); one that cannot be decoded as text, or whose text
+    `parse` refuses, is a parse error (65) prefixed by the path."""
     try:
-        return Path(path).read_text()
+        return parse(*args, Path(path).read_text())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EX_USAGE) from exc
-
-
-def _load_instance(path: str) -> OpsInstance | DpsInstance:
-    try:
-        return parse_instance(_read(path))
-    except ParseError as exc:
+    except ValueError as exc:
         raise CliError(f"{path}: {exc}", EX_PARSE) from exc
 
 
 def _load_ops(path: str) -> OpsInstance:
-    inst = _load_instance(path)
+    inst = _parse(path, parse_instance)
     if not isinstance(inst, OpsInstance):
         raise CliError(f"{path}: expected an ops instance", EX_USAGE)
     return inst
 
 
 def _load_dps(path: str) -> DpsInstance:
-    inst = _load_instance(path)
+    inst = _parse(path, parse_instance)
     if not isinstance(inst, DpsInstance):
         raise CliError(f"{path}: expected a dps instance", EX_USAGE)
     return inst
 
 
-def _load_schedule(instance, path: str):
-    try:
-        return parse_schedule(instance, _read(path))
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}", EX_PARSE) from exc
-
-
-def _write(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write(path: str, text: str) -> None:
+    """Write `text` to the file at `path`, or to stdout when it is `-`; a file
+    that cannot be written is a usage error (64)."""
+    if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EX_USAGE) from exc
 
 
 def _limits(args) -> SearchLimits:
@@ -135,8 +131,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    instance = _load_instance(args.instance)
-    schedule = _load_schedule(instance, args.schedule)
+    instance = _parse(args.instance, parse_instance)
+    schedule = _parse(args.schedule, parse_schedule, instance)
     if isinstance(instance, DpsInstance):
         violation = verify_dps(instance, schedule)
         if violation is None:
@@ -154,7 +150,7 @@ def cmd_verify(args) -> int:
 
 def cmd_heat(args) -> int:
     instance = _load_ops(args.instance)
-    schedule = _load_schedule(instance, args.schedule)
+    schedule = _parse(args.schedule, parse_schedule, instance)
     h = heat(instance, schedule)
     print("unbounded" if h is UNBOUNDED else format_rational(h))
     return EX_OK
@@ -217,18 +213,8 @@ def cmd_bound(args) -> int:
     return EX_OK
 
 
-def _load_sidecar(path: str) -> CnfFormula:
-    try:
-        return parse_sidecar(_read(path))
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}", EX_PARSE) from exc
-
-
 def cmd_reduce_sat(args) -> int:
-    try:
-        formula = parse_dimacs(_read(args.cnf))
-    except ValueError as exc:
-        raise CliError(f"{args.cnf}: {exc}", EX_PARSE) from exc
+    formula = _parse(args.cnf, parse_dimacs)
     if args.k is not None:
         if not 0 <= args.k <= formula.num_clauses:
             raise CliError(f"-k {args.k} is outside 0..{formula.num_clauses}, "
@@ -243,7 +229,7 @@ def cmd_reduce_sat(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    formula = _load_sidecar(args.artifact + ".prov")
+    formula = _parse(args.artifact + ".prov", parse_sidecar)
     bits = args.assign.strip()
     if len(bits) != formula.num_vars or set(bits) - {"0", "1"}:
         raise CliError("--assign must be a 0/1 string, one bit per variable", EX_USAGE)
@@ -260,9 +246,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    artifact = compile_formula(_load_sidecar(args.artifact + ".prov"))
-    schedule = _load_schedule(artifact.dps, args.schedule)
-    values = extract_assignment(artifact, schedule)
+    artifact = compile_formula(_parse(args.artifact + ".prov", parse_sidecar))
+    schedule = _parse(args.schedule, parse_schedule, artifact.dps)
+    try:
+        values = extract_assignment(artifact, schedule)
+    except ExtractionError as exc:  # a schedule that encodes no assignment
+        raise CliError(str(exc), EX_INFEASIBLE) from exc
     print("".join("1" if v else "0" for v in values))
     return EX_OK
 

@@ -52,13 +52,15 @@ fieldwise >= another is so as a plain state.
 `ops_optimal_heat` brackets the optimum before it searches. The round-robin
 schedule of a Delta+1 edge colouring is a witness at a candidate heat, the
 ceiling. The least candidate whose frequencies pass the load check, found by
-bisection in integer units without any search, is the floor. Only candidates
-between the two are probed. The optimum most often sits at or just above the
-floor, so the probes gallop up from it (Bentley and Yao, Inf. Process. Lett.
-1976) and bisect only once a probe is feasible. The probes differ only in
-their frequencies, so one `_EdgeSet` serves the floor bisection and every
-probe: each person's edge indices for the load check, and the maximal
-matchings, enumerated once, by the first probe that reaches the full search.
+bisection over integer heats times L (the common denominator of the growth
+rates) without any search, is the floor. Only the candidates from the
+floor's predecessor up to the ceiling are listed. The optimum most often
+sits at or just above the floor, so the probes gallop up from it (Bentley
+and Yao, Inf. Process. Lett. 1976) and bisect only once a probe is
+feasible. The probes differ only in their frequencies, so one `_EdgeSet`
+serves the floor bisection and every probe: each person's edge indices for
+the load check, and the maximal matchings, enumerated once, by the first
+probe that reaches the full search.
 """
 
 from __future__ import annotations
@@ -450,16 +452,13 @@ class OptimalHeatResult:
     rungs: tuple[str | None, str | None] = (None, None)
 
 
-def _scaled_candidates(instance: OpsInstance) -> tuple[int, list[int], list[int]]:
-    """The common denominator L of the growth rates, every g(e)*L, and every
-    candidate heat times L, ascending (see `heat_candidates`)."""
-    denom, scaled = scaled_growth(instance)
-    lo = int(instance.g_max * denom)  # g_max refuses an edgeless instance
-    hi = (instance.max_degree + 1) * lo
+def _candidates(scaled: list[int], lo: int, hi: int) -> list[int]:
+    """Every candidate heat times L in [lo, hi], ascending: the multiples of
+    each g(e)*L there (see `heat_candidates`)."""
     cands: set[int] = set()
     for step in set(scaled):
         cands.update(range(-(-lo // step) * step, hi + 1, step))
-    return denom, scaled, sorted(cands)
+    return sorted(cands)
 
 
 def heat_candidates(instance: OpsInstance) -> list[Fraction]:
@@ -468,8 +467,9 @@ def heat_candidates(instance: OpsInstance) -> list[Fraction]:
     Over the common denominator L of the growth rates, the candidates of g are
     the multiples of the integer g*L between g_max*L and (Delta+1)*g_max*L.
     """
-    denom, _, cands = _scaled_candidates(instance)
-    return [Fraction(c, denom) for c in cands]
+    denom, scaled = scaled_growth(instance)
+    lo = int(instance.g_max * denom)  # g_max refuses an edgeless instance
+    return [Fraction(c, denom) for c in _candidates(scaled, lo, (instance.max_degree + 1) * lo)]
 
 
 def ops_optimal_heat(
@@ -485,8 +485,11 @@ def ops_optimal_heat(
     - ceiling: the round-robin schedule of a Delta+1 edge colouring has heat
       C*g_max with C <= Delta+1, a candidate, and is the witness there;
     - floor: the least candidate whose frequencies pass the load check, found
-      by bisection in integer units with no search; every candidate below it
-      overloads some person.
+      with no search by bisecting the integers h*L between g_max*L and the
+      ceiling, L the common denominator of the growth rates: the frequencies
+      change only at candidates, so the least integer that passes is one.
+      Every candidate below it overloads some person, and only the floor's
+      predecessor among them is listed.
 
     Probes go through `dps_feasible`, upward from the floor, where the
     optimum most often lies: the candidates floor + 2^k - 1 for k = 0, 1,
@@ -504,42 +507,52 @@ def ops_optimal_heat(
     the first probe that reaches the full search, and an instance above
     `matching_cap` raises `MatchingCapExceeded` only when one does.
     """
-    denom, scaled, units = _scaled_candidates(instance)
-    index = {c: i for i, c in enumerate(units)}
+    denom, scaled = scaled_growth(instance)
+    low = int(instance.g_max * denom)  # g_max refuses an edgeless instance
     edge_set = _EdgeSet(instance.n, instance.edges, matching_cap)
 
-    def cand(i: int) -> Fraction | None:
-        """The candidate at index i; None below the least."""
-        return Fraction(units[i], denom) if i >= 0 else None
+    def freqs(units: int) -> tuple[int, ...]:
+        """The frequencies of ops_to_dps(instance, units / L)."""
+        return tuple(units // g for g in scaled)
 
-    def freqs(i: int) -> tuple[int, ...]:
-        """The frequencies of ops_to_dps(instance, cand(i)), in integer units."""
-        return tuple(units[i] // g for g in scaled)
+    schedule = round_robin_schedule(instance)  # the witness at cand(hi) throughout
+    ceiling = heat(instance, schedule)
+    # the least integer that passes the load check, which passes at the
+    # ceiling; the frequencies change only at candidates, so it is one
+    least, passing = low, int(ceiling * denom)
+    while least < passing:
+        mid = (least + passing) // 2
+        if edge_set.stars(freqs(mid)) is None:
+            least = mid + 1
+        else:
+            passing = mid
+    # only the candidates from the floor's predecessor up to the ceiling
+    below = max((least - 1) // g * g for g in scaled)
+    units = _candidates(scaled, max(below, low), int(ceiling * denom))
+    index = {c: i for i, c in enumerate(units)}
+    floor = index[least]
+
+    def cand(i: int) -> Fraction | None:
+        """The candidate at index i; None at -1, below the floor when the floor
+        is the least candidate (else index 0 holds the floor's predecessor,
+        and no index below it is asked for)."""
+        return Fraction(units[i], denom) if i >= 0 else None
 
     probes: dict[Fraction, str] = {}
 
     def probe(i: int) -> FeasibilityResult:
-        res = dps_feasible(DpsInstance(instance.n, instance.edges, freqs(i)), limits,
+        res = dps_feasible(DpsInstance(instance.n, instance.edges, freqs(units[i])), limits,
                            _edge_set=edge_set)
         probes[cand(i)] = res.status
         return res
 
-    def heat_index(schedule: PeriodicSchedule) -> int:
-        h = heat(instance, schedule)
+    def heat_index(h: Fraction) -> int:
         i = index.get(h * denom)  # a Fraction of denominator 1 finds its int
         if i is None:
             raise RuntimeError(f"witness heat {h} is not a candidate heat")
         return i
 
-    schedule = round_robin_schedule(instance)  # the witness at cand(hi) throughout
-    top = hi = heat_index(schedule)
-    floor, passing = 0, hi  # the load check passes at the round-robin heat
-    while floor < passing:
-        mid = (floor + passing) // 2
-        if edge_set.stars(freqs(mid)) is None:
-            floor = mid + 1
-        else:
-            passing = mid
+    top = hi = heat_index(ceiling)
 
     def rungs(lower: int, upper: int) -> tuple[str | None, str]:
         """The rungs that settled the candidates at indices lower and upper."""
@@ -559,7 +572,7 @@ def ops_optimal_heat(
                                      rungs=rungs(lo - 1, upper))
         if res.status == FEASIBLE:
             schedule = res.schedule
-            upper, hi, reach = mid, heat_index(schedule), 0
+            upper, hi, reach = mid, heat_index(heat(instance, schedule)), 0
         else:
             lo, reach = mid + 1, 2 * reach
     if hi < lo:
@@ -571,7 +584,7 @@ def ops_optimal_heat(
         probe(hi - 1)
     if pred is not None and probes[pred] != INFEASIBLE:
         raise RuntimeError(f"predecessor invariant: {pred} probed {probes[pred]}")
-    violation = verify_dps(DpsInstance(instance.n, instance.edges, freqs(hi)), schedule)
+    violation = verify_dps(DpsInstance(instance.n, instance.edges, freqs(units[hi])), schedule)
     if violation is not None:
         raise RuntimeError(f"witness at heat {h_star} fails verification: {violation}")
     return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes, rungs=rungs(hi - 1, hi))

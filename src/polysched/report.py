@@ -73,6 +73,8 @@ def run_one(name: str, instance: OpsInstance, algorithm: str,
         verdict = f"L={layered.chosen_level}"
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    if bound_method not in bounds_mod.METHODS:
+        raise ValueError(f"unknown bound method {bound_method!r}")
     report = bounds_mod.METHODS[bound_method](instance)
     ratio = None
     if achieved is not None and report.value > 0:

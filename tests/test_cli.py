@@ -296,6 +296,43 @@ def test_sidecar_holds_the_formula(tmp_path):
     assert parse_sidecar(Path(prov).read_text()) == parse_dimacs(text, k=2)
 
 
+_CANNOT_WRITE = "error: cannot write {no}/"
+
+
+# argv over {tmp}, which holds the files below, and {no}, a missing directory
+@pytest.mark.parametrize("argv, code, prefix", [
+    ("gen figure1 -o {no}/a.ops", EX_USAGE, _CANNOT_WRITE),
+    ("gen figure1 -o {tmp}/a.ops --with-schedule {no}/a.sched", EX_USAGE, _CANNOT_WRITE),
+    ("schedule --algo coloring {tmp}/fig1.ops --emit-schedule {no}/s", EX_USAGE, _CANNOT_WRITE),
+    ("feasible {tmp}/pent.dps --emit-schedule {no}/s", EX_USAGE, _CANNOT_WRITE),
+    ("solve {tmp}/fig1.ops --emit-schedule {no}/s", EX_USAGE, _CANNOT_WRITE),
+    ("reduce-sat --cnf {tmp}/f.cnf -o {no}/f.dps", EX_USAGE, _CANNOT_WRITE),
+    ("synth --artifact {tmp}/f.dps --assign 01 -o {no}/f.sched", EX_USAGE, _CANNOT_WRITE),
+    # days 0 and 1 of a synthesized schedule swapped: `verify` finds a gap
+    # too large, and `extract` refuses it with the same exit code, 1
+    ("extract --artifact {tmp}/f.dps --schedule {tmp}/swapped.sched", EX_INFEASIBLE,
+     "error: schedule invalid: gap-too-large at edge "),
+    ("suite --count 1 --bound foo", EX_USAGE, "error: unknown bound method 'foo'\n"),
+    # a file whose bytes do not decode is a parse error that names the file
+    ("verify {tmp}/binary.ops {tmp}/f.sched", EX_PARSE, "error: {tmp}/binary.ops: "),
+], ids=["gen", "gen-with-schedule", "schedule", "feasible", "solve", "reduce-sat", "synth",
+        "extract-invalid", "suite-bound", "undecodable"])
+def test_refusals(tmp_path, capsys, argv, code, prefix):
+    tmp, no = str(tmp_path), str(tmp_path / "no")
+    (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    for setup in ("gen figure1 -o {tmp}/fig1.ops", "gen pentagon -o {tmp}/pent.dps",
+                  "reduce-sat --cnf {tmp}/f.cnf -k 2 -o {tmp}/f.dps",
+                  "synth --artifact {tmp}/f.dps --assign 01 -o {tmp}/f.sched"):
+        assert main(setup.format(tmp=tmp).split()) == EX_OK, setup
+    days = (tmp_path / "f.sched").read_text().splitlines()
+    days[1], days[2] = days[2], days[1]
+    (tmp_path / "swapped.sched").write_text("\n".join(days) + "\n")
+    (tmp_path / "binary.ops").write_bytes(b"ops 2 1\n0 1 \xff\n")
+    capsys.readouterr()
+    assert main(argv.format(tmp=tmp, no=no).split()) == code
+    assert capsys.readouterr().err.startswith(prefix.format(tmp=tmp, no=no))
+
+
 def test_cli_import_leaves_networkx_unloaded():
     """The package imports only the standard library."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -668,6 +668,22 @@ class TestOptimalHeat:
         with pytest.raises(MatchingCapExceeded):
             ops_optimal_heat(path)
 
+    def test_lists_only_the_candidates_from_the_floor(self):
+        # growth 1000 and 1/997 put 1,994,001 candidates in [g_max, 3*g_max];
+        # the floor is the round-robin heat, so only it and its predecessor,
+        # which the load check settles, are listed
+        inst = OpsInstance(3, ((0, 1), (1, 2)), (Fraction(1000), Fraction(1, 997)))
+        tracemalloc.start()
+        try:
+            result = ops_optimal_heat(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.heat, result.predecessor) == (2000, Fraction(1993999, 997))
+        assert result.probes == {Fraction(1993999, 997): INFEASIBLE}
+        assert result.rungs == (LOAD, ROUND_ROBIN)
+        assert peak < 16 * 2**20, peak
+
     def test_unit_triangle(self):
         inst = OpsInstance(3, ((0, 1), (0, 2), (1, 2)), (1, 1, 1))
         assert ops_optimal_heat(inst).heat == 3
