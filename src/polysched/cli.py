@@ -122,7 +122,11 @@ def cmd_gen(args) -> int:
     elif args.family == "pinwheel-star":
         if not args.freqs:
             raise CliError("pinwheel-star needs --freqs", EX_USAGE)
-        kwargs = {"freqs": tuple(int(x) for x in args.freqs.split(","))}
+        try:
+            kwargs = {"freqs": tuple(int(x) for x in args.freqs.split(","))}
+        except ValueError as exc:
+            raise CliError(f"--freqs {args.freqs} must be integers, comma separated",
+                           EX_USAGE) from exc
     instance = generate(args.family, **kwargs)
     _write(args.output, emit_instance(instance))
     if args.family == "figure1" and args.with_schedule:
@@ -214,6 +218,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_reduce_sat(args) -> int:
+    if args.output == "-":
+        raise CliError("-o must name a file, not -: the sidecar is written beside it "
+                       "as FILE.prov", EX_USAGE)
     formula = _parse(args.cnf, parse_dimacs)
     if args.k is not None:
         if not 0 <= args.k <= formula.num_clauses:
@@ -257,6 +264,10 @@ def cmd_extract(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    for flag, value, least in (("--count", args.count, 0), ("--max-persons", args.max_persons, 2),
+                               ("--max-edges", args.max_edges, 1)):
+        if value < least:
+            raise CliError(f"{flag} {value} must be at least {least}", EX_USAGE)
     instances: list[tuple[str, OpsInstance]] = []
     if args.fixtures:
         instances.append(("figure1", figure1()))

@@ -49,18 +49,20 @@ state, so the verdict is the same. Dominance holds there as well: a merged
 state is dead exactly when its sorted plain state is, and a sorted state
 fieldwise >= another is so as a plain state.
 
-`ops_optimal_heat` brackets the optimum before it searches. The round-robin
-schedule of a Delta+1 edge colouring is a witness at a candidate heat, the
-ceiling. The least candidate whose frequencies pass the load check, found by
-bisection over integer heats times L (the common denominator of the growth
-rates) without any search, is the floor. Only the candidates from the
-floor's predecessor up to the ceiling are listed. The optimum most often
-sits at or just above the floor, so the probes gallop up from it (Bentley
-and Yao, Inf. Process. Lett. 1976) and bisect only once a probe is
-feasible. The probes differ only in their frequencies, so one `_EdgeSet`
-serves the floor bisection and every probe: each person's edge indices for
-the load check, and the maximal matchings, enumerated once, by the first
-probe that reaches the full search.
+`ops_optimal_heat` searches over one integer scale, heat times L (the
+common denominator of the growth rates). An integer has the frequencies of
+the greatest candidate heat at or below it, so no candidate is listed: a
+probe is keyed by that candidate, and an integer whose candidate was
+already probed, infeasible, is skipped. The optimum is bracketed before the
+search. The round-robin schedule of a Delta+1 edge colouring is a witness
+at a candidate heat, the ceiling. The least integer whose frequencies pass
+the load check, found by bisection without any search, is the floor. The
+optimum most often sits at or just above the floor, so the probes gallop up
+from it (Bentley and Yao, Inf. Process. Lett. 1976) and bisect only once a
+probe is feasible. The probes differ only in their frequencies, so one
+`_EdgeSet` serves the floor bisection and every probe: each person's edge
+indices for the load check, and the maximal matchings, enumerated once, by
+the first probe that reaches the full search.
 """
 
 from __future__ import annotations
@@ -452,15 +454,6 @@ class OptimalHeatResult:
     rungs: tuple[str | None, str | None] = (None, None)
 
 
-def _candidates(scaled: list[int], lo: int, hi: int) -> list[int]:
-    """Every candidate heat times L in [lo, hi], ascending: the multiples of
-    each g(e)*L there (see `heat_candidates`)."""
-    cands: set[int] = set()
-    for step in set(scaled):
-        cands.update(range(-(-lo // step) * step, hi + 1, step))
-    return sorted(cands)
-
-
 def heat_candidates(instance: OpsInstance) -> list[Fraction]:
     """All values g(e)*q in [g_max, (Delta+1)*g_max]; the optimum is one of them.
 
@@ -469,7 +462,9 @@ def heat_candidates(instance: OpsInstance) -> list[Fraction]:
     """
     denom, scaled = scaled_growth(instance)
     lo = int(instance.g_max * denom)  # g_max refuses an edgeless instance
-    return [Fraction(c, denom) for c in _candidates(scaled, lo, (instance.max_degree + 1) * lo)]
+    hi = (instance.max_degree + 1) * lo
+    cands = {c for step in set(scaled) for c in range(-(-lo // step) * step, hi + 1, step)}
+    return [Fraction(c, denom) for c in sorted(cands)]
 
 
 def ops_optimal_heat(
@@ -480,111 +475,102 @@ def ops_optimal_heat(
     """Least candidate heat whose induced decision instance is feasible.
 
     Feasibility of ops_to_dps(I, h) is monotone nondecreasing in h, and so is
-    the load check. The optimum is bracketed before any search:
+    the load check. Every step runs on the integers x = h*L, L the common
+    denominator of the growth rates. The frequencies change only at
+    candidates, so x has those of its candidate cand(x), the greatest
+    candidate at or below it: max over g of (x // (g*L)) * (g*L). The
+    optimum is bracketed before any search:
 
     - ceiling: the round-robin schedule of a Delta+1 edge colouring has heat
       C*g_max with C <= Delta+1, a candidate, and is the witness there;
-    - floor: the least candidate whose frequencies pass the load check, found
-      with no search by bisecting the integers h*L between g_max*L and the
-      ceiling, L the common denominator of the growth rates: the frequencies
-      change only at candidates, so the least integer that passes is one.
-      Every candidate below it overloads some person, and only the floor's
-      predecessor among them is listed.
+    - floor: the least integer that passes the load check, found with no
+      search by bisection between g_max*L and the ceiling; it is a
+      candidate, and every candidate below it overloads some person.
 
     Probes go through `dps_feasible`, upward from the floor, where the
-    optimum most often lies: the candidates floor + 2^k - 1 for k = 0, 1,
-    2, ... below the ceiling, while they are infeasible (galloping, Bentley
-    and Yao 1976), then a binary search between the last infeasible one and
-    the ceiling. A feasible probe lowers the ceiling to its witness's heat.
-    The predecessor candidate of the optimum is certified
-    infeasible: by a probe in the search, or else, below the floor, by one
-    probe the load check settles with 0 states. `probes` holds every heat
-    passed to `dps_feasible`, in call order. An inconclusive result brackets
-    the optimum above the largest infeasible probe (or the floor's
-    predecessor) and at or below the smallest feasible probe (or the
-    round-robin heat). One `_EdgeSet` runs the floor's load checks and is
-    handed to every probe, so the maximal matchings are enumerated once, by
-    the first probe that reaches the full search, and an instance above
-    `matching_cap` raises `MatchingCapExceeded` only when one does.
+    optimum most often lies: the integers floor + 2^k - 1 for k = 0, 1, 2,
+    ... below the ceiling, while they are infeasible (galloping, Bentley and
+    Yao 1976), then a binary search between the last infeasible one and the
+    ceiling. A feasible probe lowers the ceiling to its witness's heat. A
+    probe at x is keyed by cand(x); an x whose candidate is already in
+    `probes` is skipped, since that probe was infeasible (a feasible one put
+    the ceiling at or below it). The predecessor candidate of the optimum,
+    cand(optimum - 1), is certified infeasible: by a probe in the search, or
+    else, below the floor, by one probe the load check settles with 0
+    states. `probes` holds every heat passed to `dps_feasible`, in call
+    order. An inconclusive result brackets the optimum above the largest
+    infeasible probe (or the floor's predecessor) and at or below the
+    smallest feasible probe (or the round-robin heat). One `_EdgeSet` runs
+    the floor's load checks and is handed to every probe, so the maximal
+    matchings are enumerated once, by the first probe that reaches the full
+    search, and an instance above `matching_cap` raises
+    `MatchingCapExceeded` only when one does.
     """
     denom, scaled = scaled_growth(instance)
     low = int(instance.g_max * denom)  # g_max refuses an edgeless instance
     edge_set = _EdgeSet(instance.n, instance.edges, matching_cap)
 
-    def freqs(units: int) -> tuple[int, ...]:
-        """The frequencies of ops_to_dps(instance, units / L)."""
-        return tuple(units // g for g in scaled)
+    def freqs(x: int) -> tuple[int, ...]:
+        """The frequencies of ops_to_dps(instance, x / L)."""
+        return tuple(x // g for g in scaled)
 
-    schedule = round_robin_schedule(instance)  # the witness at cand(hi) throughout
+    def cand(x: int) -> Fraction | None:
+        """The greatest candidate heat at or below x / L; None below g_max."""
+        return Fraction(max(x // g * g for g in scaled), denom) if x >= low else None
+
+    schedule = round_robin_schedule(instance)  # the witness at hi / L throughout
     ceiling = heat(instance, schedule)
-    # the least integer that passes the load check, which passes at the
-    # ceiling; the frequencies change only at candidates, so it is one
-    least, passing = low, int(ceiling * denom)
+    top = int(ceiling * denom)
+    # the least integer that passes the load check, which passes at the ceiling
+    least, passing = low, top
     while least < passing:
         mid = (least + passing) // 2
         if edge_set.stars(freqs(mid)) is None:
             least = mid + 1
         else:
             passing = mid
-    # only the candidates from the floor's predecessor up to the ceiling
-    below = max((least - 1) // g * g for g in scaled)
-    units = _candidates(scaled, max(below, low), int(ceiling * denom))
-    index = {c: i for i, c in enumerate(units)}
-    floor = index[least]
-
-    def cand(i: int) -> Fraction | None:
-        """The candidate at index i; None at -1, below the floor when the floor
-        is the least candidate (else index 0 holds the floor's predecessor,
-        and no index below it is asked for)."""
-        return Fraction(units[i], denom) if i >= 0 else None
-
+    floor = Fraction(least, denom)
     probes: dict[Fraction, str] = {}
 
-    def probe(i: int) -> FeasibilityResult:
-        res = dps_feasible(DpsInstance(instance.n, instance.edges, freqs(units[i])), limits,
+    def probe(x: int) -> FeasibilityResult:
+        res = dps_feasible(DpsInstance(instance.n, instance.edges, freqs(x)), limits,
                            _edge_set=edge_set)
-        probes[cand(i)] = res.status
+        probes[cand(x)] = res.status
         return res
 
-    def heat_index(h: Fraction) -> int:
-        i = index.get(h * denom)  # a Fraction of denominator 1 finds its int
-        if i is None:
-            raise RuntimeError(f"witness heat {h} is not a candidate heat")
-        return i
+    def rungs(lower: Fraction | None, upper: Fraction) -> tuple[str | None, str]:
+        """The rungs that settled the candidates lower and upper."""
+        return (None if lower is None else LOAD if lower < floor else SEARCH,
+                ROUND_ROBIN if upper == ceiling else SEARCH)
 
-    top = hi = heat_index(ceiling)
-
-    def rungs(lower: int, upper: int) -> tuple[str | None, str]:
-        """The rungs that settled the candidates at indices lower and upper."""
-        return (None if lower < 0 else LOAD if lower < floor else SEARCH,
-                ROUND_ROBIN if upper == top else SEARCH)
-
-    # probes rise past infeasible ones and fall past feasible ones, so lo - 1
-    # is the greatest infeasible probe (or the floor's predecessor) and upper
-    # the least feasible one (or the round-robin heat)
-    lo, upper, reach = floor, top, 1  # reach: 2^k while galloping, 0 after a feasible probe
+    # probes rise past infeasible ones and fall past feasible ones, so
+    # cand(lo - 1) is the greatest infeasible probe (or the floor's
+    # predecessor) and upper the least feasible one (or the round-robin
+    # heat); reach is 2^k while galloping, 0 after a feasible probe
+    lo, hi, upper, reach = least, top, ceiling, 1
     while lo < hi:
-        mid = floor + reach - 1 if 0 < reach <= hi - floor else (lo + hi) // 2
-        res = probe(mid)
-        if res.status == INCONCLUSIVE:
-            return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
-                                     bracket=(cand(lo - 1), cand(upper)),
-                                     rungs=rungs(lo - 1, upper))
-        if res.status == FEASIBLE:
-            schedule = res.schedule
-            upper, hi, reach = mid, heat_index(heat(instance, schedule)), 0
-        else:
-            lo, reach = mid + 1, 2 * reach
+        mid = least + reach - 1 if 0 < reach <= hi - least else (lo + hi) // 2
+        if cand(mid) not in probes:  # else it was probed infeasible
+            res = probe(mid)
+            if res.status == INCONCLUSIVE:
+                return OptimalHeatResult(INCONCLUSIVE, None, None, None, probes,
+                                         bracket=(cand(lo - 1), upper),
+                                         rungs=rungs(cand(lo - 1), upper))
+            if res.status == FEASIBLE:
+                schedule = res.schedule
+                upper, hi, reach = cand(mid), int(heat(instance, schedule) * denom), 0
+                continue
+        lo, reach = mid + 1, 2 * reach
+    h_star, pred = Fraction(hi, denom), cand(hi - 1)
     if hi < lo:
-        raise RuntimeError(f"witness heat {cand(hi)} is below a candidate certified infeasible")
-    h_star, pred = cand(hi), cand(hi - 1)
+        raise RuntimeError(f"witness heat {h_star} is below a candidate certified infeasible")
     # lo only grows past a candidate probed infeasible; a predecessor never
     # probed lies below the floor
     if pred is not None and pred not in probes:
         probe(hi - 1)
     if pred is not None and probes[pred] != INFEASIBLE:
         raise RuntimeError(f"predecessor invariant: {pred} probed {probes[pred]}")
-    violation = verify_dps(DpsInstance(instance.n, instance.edges, freqs(units[hi])), schedule)
+    violation = verify_dps(DpsInstance(instance.n, instance.edges, freqs(hi)), schedule)
     if violation is not None:
         raise RuntimeError(f"witness at heat {h_star} fails verification: {violation}")
-    return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes, rungs=rungs(hi - 1, hi))
+    return OptimalHeatResult(FEASIBLE, h_star, schedule, pred, probes, rungs=rungs(pred, h_star))

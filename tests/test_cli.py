@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polysched import cli
 from polysched.satred import compile_formula, demo_formula, emit_dimacs, parse_sidecar, synth
@@ -315,9 +317,18 @@ _CANNOT_WRITE = "error: cannot write {no}/"
     ("suite --count 1 --bound foo", EX_USAGE, "error: unknown bound method 'foo'\n"),
     # a file whose bytes do not decode is a parse error that names the file
     ("verify {tmp}/binary.ops {tmp}/f.sched", EX_PARSE, "error: {tmp}/binary.ops: "),
+    # the sidecar is written beside the instance, so stdout cannot hold both
+    ("reduce-sat --cnf {tmp}/f.cnf -o -", EX_USAGE, "error: -o must name a file, not -: "),
+    ("suite --count -1", EX_USAGE, "error: --count -1 must be at least 0\n"),
+    ("suite --max-persons 1", EX_USAGE, "error: --max-persons 1 must be at least 2\n"),
+    ("suite --max-edges 0", EX_USAGE, "error: --max-edges 0 must be at least 1\n"),
+    ("gen pinwheel-star --freqs 2,x", EX_USAGE,
+     "error: --freqs 2,x must be integers, comma separated\n"),
 ], ids=["gen", "gen-with-schedule", "schedule", "feasible", "solve", "reduce-sat", "synth",
-        "extract-invalid", "suite-bound", "undecodable"])
-def test_refusals(tmp_path, capsys, argv, code, prefix):
+        "extract-invalid", "suite-bound", "undecodable", "reduce-sat-stdout", "suite-count",
+        "suite-max-persons", "suite-max-edges", "gen-freqs"])
+def test_refusals(tmp_path, monkeypatch, capsys, argv, code, prefix):
+    monkeypatch.chdir(tmp_path)  # where a relative output, such as `-.prov`, would land
     tmp, no = str(tmp_path), str(tmp_path / "no")
     (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 2 0\n-1 0\n")
     for setup in ("gen figure1 -o {tmp}/fig1.ops", "gen pentagon -o {tmp}/pent.dps",
@@ -331,6 +342,63 @@ def test_refusals(tmp_path, capsys, argv, code, prefix):
     capsys.readouterr()
     assert main(argv.format(tmp=tmp, no=no).split()) == code
     assert capsys.readouterr().err.startswith(prefix.format(tmp=tmp, no=no))
+    assert not (tmp_path / "-.prov").exists()
+
+
+# replacement tokens: small numbers, words and markers of the three formats,
+# so that no mutation asks for a large formula or a long schedule
+_TOKENS = (st.sampled_from(["", "x", "p", "cnf", "#", "clause", "->", "1/2", "var:0"])
+           | st.integers(-4, 9).map(str))
+
+
+@st.composite
+def _mutated(draw, text):
+    """`text` after one to three mutations: a token replaced, or a line
+    deleted, repeated or swapped with another."""
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "delete", "repeat", "swap"]))
+        if kind == "token":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+# each mutated file and the commands that read it: {tmp} holds the valid
+# files, and {mut} is the mutated one
+@pytest.mark.parametrize("original, mutant, commands", [
+    ("f.cnf", "mut.cnf", ["reduce-sat --cnf {mut} -o {tmp}/out.dps"]),
+    ("f.sched", "mut.sched", ["verify {tmp}/f.dps {mut}",
+                              "extract --artifact {tmp}/f.dps --schedule {mut}"]),
+    ("f.dps.prov", "mut.dps.prov", ["extract --artifact {tmp}/mut.dps --schedule {tmp}/f.sched"]),
+], ids=["cnf", "schedule", "sidecar"])
+@settings(derandomize=True, max_examples=100, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_input_files_exit_0_1_or_65(tmp_path, time_limit, original, mutant, commands,
+                                            data):
+    tmp = str(tmp_path)
+    if not (tmp_path / "f.sched").exists():  # the valid files, made once per parameter
+        (tmp_path / "f.cnf").write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+        for setup in ("reduce-sat --cnf {tmp}/f.cnf -k 2 -o {tmp}/f.dps",
+                      "synth --artifact {tmp}/f.dps --assign 01 -o {tmp}/f.sched"):
+            assert main(setup.format(tmp=tmp).split()) == EX_OK, setup
+        (tmp_path / "mut.dps").write_text((tmp_path / "f.dps").read_text())
+    (tmp_path / mutant).write_text(data.draw(_mutated((tmp_path / original).read_text())))
+    for command in commands:
+        argv = command.format(tmp=tmp, mut=str(tmp_path / mutant)).split()
+        assert main(argv) in (EX_OK, EX_INFEASIBLE, EX_PARSE), argv
 
 
 def test_cli_import_leaves_networkx_unloaded():

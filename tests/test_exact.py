@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import count, takewhile
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -46,7 +47,9 @@ from polysched.matchings import MATCHING_CAP, MatchingCapExceeded, enumerate_max
 from polysched.report import seeded_suite
 
 # `TestOptimalHeat.test_results_are_pinned`: every `ops_optimal_heat` result
-RESULTS_DIGEST = "4709932e87c910850ff3fe21cab9fd63635458714b7169b7bf560e88b6a4a238"
+RESULTS_DIGEST = "566820835d5dd235ca3c322ff2d1af670c8b82df2c0ee2338bbb224565d2f96a"
+# `TestOptimalHeat.test_heats_are_pinned`: status, heat, predecessor and rungs
+HEATS_DIGEST = "453fe7d653e8de0a0bdfd4eb7564bbfeaa6b3166f1371a0394c70f7e3d1891a3"
 
 
 def random_dps(rng, max_n=5, max_m=5, max_f=4):
@@ -582,23 +585,36 @@ class TestOptimalHeat:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == RESULTS_DIGEST
 
+    def test_heats_are_pinned(self):
+        # the answer alone, at the default limits: recorded while the probes
+        # ran over a candidate list, it holds for any probe order
+        suites = [seeded_suite(seed, 200) for seed in range(1, 6)] + [bench_corpus()]
+        results = [ops_optimal_heat(inst) for suite in suites for _, inst in suite]
+        lines = [repr((r.status, str(r.heat), str(r.predecessor), r.rungs)) for r in results]
+        assert len(lines) == 1230
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == HEATS_DIGEST
+
     def test_probes_gallop_up_from_the_floor(self):
-        # while they are infeasible, the candidates floor + 2^k - 1 below
-        # the ceiling are probed in turn, so the first probe is the floor
+        # on the integers x = h*L, while they are infeasible, the distinct
+        # candidates of floor + 2^k - 1 below the ceiling are probed in turn,
+        # so the first probe is the floor
         galloped = 0
         for seed in range(1, 6):
             for name, inst in seeded_suite(seed, 200):
                 cands = heat_candidates(inst)
-                floor = next(i for i, h in enumerate(cands) if not overloaded(ops_to_dps(inst, h)))
-                ceiling = cands.index(heat(inst, round_robin_schedule(inst)))
+                denom = math.lcm(*(g.denominator for g in inst.growth))
+                floor = next(h for h in cands if not overloaded(ops_to_dps(inst, h)))
+                ceiling = heat(inst, round_robin_schedule(inst))
                 probes = list(ops_optimal_heat(inst).probes.items())
                 if floor == ceiling:
                     # at most the predecessor, which the load check settles
-                    assert [h for h, _ in probes] in ([], [cands[floor - 1]]), name
+                    below = [h for h in cands if h < floor]
+                    assert [h for h, _ in probes] in ([], below[-1:]), name
                     continue
-                gallop = [cands[floor + 2**k - 1] for k in range(ceiling.bit_length())
-                          if floor + 2**k - 1 < ceiling]
-                assert probes[0][0] == cands[floor], name
+                xs = takewhile(lambda x: x < ceiling,
+                               (floor + Fraction(2**k - 1, denom) for k in count()))
+                gallop = list(dict.fromkeys(max(c for c in cands if c <= x) for x in xs))
+                assert probes[0][0] == floor, name
                 for h, (probed, verdict) in zip(gallop, probes):
                     assert probed == h, name
                     if verdict == FEASIBLE:
@@ -670,19 +686,28 @@ class TestOptimalHeat:
 
     def test_lists_only_the_candidates_from_the_floor(self):
         # growth 1000 and 1/997 put 1,994,001 candidates in [g_max, 3*g_max];
-        # the floor is the round-robin heat, so only it and its predecessor,
-        # which the load check settles, are listed
-        inst = OpsInstance(3, ((0, 1), (1, 2)), (Fraction(1000), Fraction(1, 997)))
-        tracemalloc.start()
-        try:
-            result = ops_optimal_heat(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (result.heat, result.predecessor) == (2000, Fraction(1993999, 997))
-        assert result.probes == {Fraction(1993999, 997): INFEASIBLE}
-        assert result.rungs == (LOAD, ROUND_ROBIN)
-        assert peak < 16 * 2**20, peak
+        # the floor is the round-robin heat, so the one probe is its
+        # predecessor, which the load check settles
+        path = OpsInstance(3, ((0, 1), (1, 2)), (Fraction(1000), Fraction(1, 997)))
+        # a triangle of growth 1000 beside that edge: 997,001 candidates from
+        # the floor 2000 to the optimum 3000, the round-robin heat, and 38
+        # probes, none of which builds a list of them
+        triangle = OpsInstance(5, ((0, 1), (0, 2), (1, 2), (3, 4)),
+                               (Fraction(1000),) * 3 + (Fraction(1, 997),))
+        for inst, h_star, pred, rungs, probed in [
+            (path, 2000, Fraction(1993999, 997), (LOAD, ROUND_ROBIN), 1),
+            (triangle, 3000, Fraction(2990999, 997), (SEARCH, ROUND_ROBIN), 38),
+        ]:
+            tracemalloc.start()
+            try:
+                result = ops_optimal_heat(inst)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (result.heat, result.predecessor) == (h_star, pred)
+            assert result.probes[pred] == INFEASIBLE and len(result.probes) == probed
+            assert result.rungs == rungs
+            assert peak < 16 * 2**20, peak
 
     def test_unit_triangle(self):
         inst = OpsInstance(3, ((0, 1), (0, 2), (1, 2)), (1, 1, 1))
