@@ -34,7 +34,6 @@ from .generators import (
     generate,
 )
 from .layering import ratio_guarantee
-from .matchings import MATCHING_CAP
 from .report import format_table, run_one, run_suite, seeded_suite
 from .satred import (
     CnfFormula,
@@ -100,16 +99,18 @@ def _write(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EX_USAGE) from exc
 
 
+# the least value of each integer flag, by argparse dest: `main` refuses a
+# smaller one, naming the flag, before any command runs
+_FLOORS = {"max_states": 1, "matching_cap": 1, "count": 0, "max_persons": 2, "max_edges": 1,
+           "tail": 0, "tail_freq": 2}
+
+
 def _limits(args) -> SearchLimits:
-    """The search limits of `feasible` and `solve`; a limit that leaves no
-    search to run, or no matching to enumerate, is a usage error."""
-    if args.max_states < 1:
-        raise CliError(f"--max-states {args.max_states} must be at least 1", EX_USAGE)
+    """The search limits of `feasible` and `solve`; a negative `--time-limit`
+    is a usage error."""
     if args.time_limit is not None and not args.time_limit >= 0:  # NaN included
         raise CliError(f"--time-limit {args.time_limit:g} must not be negative", EX_USAGE)
-    if args.matching_cap < 1:
-        raise CliError(f"--matching-cap {args.matching_cap} must be at least 1", EX_USAGE)
-    return SearchLimits(max_states=args.max_states, time_limit=args.time_limit)
+    return SearchLimits(args.max_states, args.time_limit, args.matching_cap)
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -117,6 +118,9 @@ def _limits(args) -> SearchLimits:
 
 def cmd_gen(args) -> int:
     kwargs = {}
+    if args.with_schedule and args.family != "figure1":
+        raise CliError(f"--with-schedule {args.with_schedule}: only figure1 has a bundled "
+                       "schedule", EX_USAGE)
     if args.family == "tadpole":
         kwargs = {"k": args.tail, "big_f": args.tail_freq}
     elif args.family == "pinwheel-star":
@@ -127,9 +131,11 @@ def cmd_gen(args) -> int:
         except ValueError as exc:
             raise CliError(f"--freqs {args.freqs} must be integers, comma separated",
                            EX_USAGE) from exc
+        if min(kwargs["freqs"]) < 1:
+            raise CliError(f"--freqs {args.freqs} must each be at least 1", EX_USAGE)
     instance = generate(args.family, **kwargs)
     _write(args.output, emit_instance(instance))
-    if args.family == "figure1" and args.with_schedule:
+    if args.with_schedule:
         _write(args.with_schedule, emit_schedule(figure1(), figure1_schedule()))
     return EX_OK
 
@@ -180,7 +186,7 @@ def cmd_schedule(args) -> int:
 def cmd_feasible(args) -> int:
     limits = _limits(args)
     instance = _load_dps(args.instance)
-    result = dps_feasible(instance, limits, matching_cap=args.matching_cap)
+    result = dps_feasible(instance, limits)
     print(f"{result.status} (explored {result.explored} states)")
     if result.status == FEASIBLE and args.emit_schedule:
         _write(args.emit_schedule, emit_schedule(instance, result.schedule))
@@ -190,7 +196,7 @@ def cmd_feasible(args) -> int:
 def cmd_solve(args) -> int:
     limits = _limits(args)
     instance = _load_ops(args.instance)
-    result = ops_optimal_heat(instance, limits, matching_cap=args.matching_cap)
+    result = ops_optimal_heat(instance, limits)
     if result.status != FEASIBLE:
         lo, hi = result.bracket
         print(f"inconclusive; bracket ({lo}, {hi})")
@@ -264,10 +270,6 @@ def cmd_extract(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    for flag, value, least in (("--count", args.count, 0), ("--max-persons", args.max_persons, 2),
-                               ("--max-edges", args.max_edges, 1)):
-        if value < least:
-            raise CliError(f"{flag} {value} must be at least {least}", EX_USAGE)
     instances: list[tuple[str, OpsInstance]] = []
     if args.fixtures:
         instances.append(("figure1", figure1()))
@@ -324,8 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance")
         p.add_argument("--emit-schedule")
         p.add_argument("--max-states", type=int, default=SearchLimits.max_states)
-        p.add_argument("--time-limit", type=float, default=None)
-        p.add_argument("--matching-cap", type=int, default=MATCHING_CAP)
+        p.add_argument("--time-limit", type=float, default=None,
+                       help="seconds for each feasibility decision: solve allows them "
+                            "to every probe, not to the whole solve")
+        p.add_argument("--matching-cap", type=int, default=SearchLimits.matching_cap)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("bound", help="instance-specific lower bounds")
@@ -373,6 +377,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EX_USAGE if exc.code not in (0, None) else 0
     try:
+        for dest, least in _FLOORS.items():
+            if getattr(args, dest, least) < least:
+                flag = "--" + dest.replace("_", "-")
+                raise CliError(f"{flag} {getattr(args, dest)} must be at least {least}", EX_USAGE)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,12 +90,16 @@ INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """The budget of each search of a `dps_feasible` call. A search's memory
-    grows with the states it enters, so `max_states` bounds memory as well
-    as time; `time_limit` is one deadline for all the call's searches."""
+    """The budget of a `dps_feasible` call, which `ops_optimal_heat` gives to
+    each of its probes. `max_states` bounds each search, and so its memory,
+    which grows with the states it enters. `time_limit` is one deadline for
+    all the searches of one `dps_feasible` call, so it bounds each probe of
+    an optimal-heat call, not the whole call. `matching_cap` is the most
+    edges whose maximal matchings the full search enumerates."""
 
     max_states: int = 50_000_000
-    time_limit: float | None = None  # seconds
+    time_limit: float | None = None  # seconds per dps_feasible call
+    matching_cap: int = MATCHING_CAP
 
 
 @dataclass
@@ -307,8 +311,8 @@ class _EdgeSet:
     long run.
     """
 
-    def __init__(self, n: int, edges, matching_cap: int):
-        self.n, self.edges, self.matching_cap = n, edges, matching_cap
+    def __init__(self, n: int, edges):
+        self.n, self.edges = n, edges
         self.at: list[list[int]] = [[] for _ in range(n)]  # person -> its edges
         for e, (a, b) in enumerate(edges):
             self.at[a].append(e)
@@ -329,17 +333,16 @@ class _EdgeSet:
             out.append((freqs, load, unit))
         return out
 
-    def matchings(self) -> list[frozenset[int]]:
-        """Every maximal matching; raises `MatchingCapExceeded` above the cap."""
+    def matchings(self, cap: int) -> list[frozenset[int]]:
+        """Every maximal matching; raises `MatchingCapExceeded` above `cap`."""
         if self._matchings is None:
-            self._matchings = enumerate_maximal_matchings(self.n, self.edges, cap=self.matching_cap)
+            self._matchings = enumerate_maximal_matchings(self.n, self.edges, cap=cap)
         return self._matchings
 
 
 def dps_feasible(
     instance: DpsInstance,
     limits: SearchLimits | None = None,
-    matching_cap: int = MATCHING_CAP,
     *,
     _edge_set: _EdgeSet | None = None,
 ) -> FeasibilityResult:
@@ -355,15 +358,15 @@ def dps_feasible(
     infeasibility (no more than the star's plain states, and as many when no
     frequency repeats), else the full search's, which a feasible or
     inconclusive star leaves unchanged. Each search gets `max_states`; all
-    share one `time_limit` deadline. The maximal matchings are enumerated
-    only when the full search runs. `_edge_set` is the `_EdgeSet` of
-    `ops_optimal_heat`, shared by its probes, which share the edge set; it
-    holds its own `matching_cap`. Without it the call builds its own.
+    share one `time_limit` deadline. The maximal matchings are enumerated,
+    under `matching_cap`, only when the full search runs. `_edge_set` is the
+    `_EdgeSet` of `ops_optimal_heat`, shared by its probes, which share the
+    edge set; without it the call builds its own.
     """
     limits = limits or SearchLimits()
     deadline = None if limits.time_limit is None else time.monotonic() + limits.time_limit
     if _edge_set is None:
-        _edge_set = _EdgeSet(instance.n, instance.edges, matching_cap)
+        _edge_set = _EdgeSet(instance.n, instance.edges)
     stars = _edge_set.stars(instance.freq)
     if stars is None:
         return FeasibilityResult(INFEASIBLE, None, 0)
@@ -374,7 +377,7 @@ def dps_feasible(
         status, _, explored = _search(PinwheelGraph(freqs), limits, deadline)
         if status == INFEASIBLE:
             return FeasibilityResult(INFEASIBLE, None, explored)
-    graph = ConfigGraph(instance, _edge_set.matchings())
+    graph = ConfigGraph(instance, _edge_set.matchings(limits.matching_cap))
     status, cycle, explored = _search(graph, limits, deadline)
     schedule = None if cycle is None else PeriodicSchedule(len(cycle), tuple(cycle))
     return FeasibilityResult(status, schedule, explored)
@@ -470,7 +473,6 @@ def heat_candidates(instance: OpsInstance) -> list[Fraction]:
 def ops_optimal_heat(
     instance: OpsInstance,
     limits: SearchLimits | None = None,
-    matching_cap: int = MATCHING_CAP,
 ) -> OptimalHeatResult:
     """Least candidate heat whose induced decision instance is feasible.
 
@@ -503,12 +505,13 @@ def ops_optimal_heat(
     smallest feasible probe (or the round-robin heat). One `_EdgeSet` runs
     the floor's load checks and is handed to every probe, so the maximal
     matchings are enumerated once, by the first probe that reaches the full
-    search, and an instance above `matching_cap` raises
-    `MatchingCapExceeded` only when one does.
+    search, and an instance above the limits' `matching_cap` raises
+    `MatchingCapExceeded` only when one does. Each probe gets all of
+    `limits`, its own `time_limit` included.
     """
     denom, scaled = scaled_growth(instance)
     low = int(instance.g_max * denom)  # g_max refuses an edgeless instance
-    edge_set = _EdgeSet(instance.n, instance.edges, matching_cap)
+    edge_set = _EdgeSet(instance.n, instance.edges)
 
     def freqs(x: int) -> tuple[int, ...]:
         """The frequencies of ops_to_dps(instance, x / L)."""

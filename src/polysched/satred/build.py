@@ -425,6 +425,13 @@ def _build_or(b: _Builder, clause: tuple[int, ...], clause_idx: int) -> GadgetRe
     return g
 
 
+def comparator(c1: str, c2: str) -> tuple[str, str]:
+    """The (OR, AND) output colours of a Swap whose channel inputs have the
+    colours c1 and c2, each B or G: the OR output is blue iff an input is
+    blue, the AND output iff both are."""
+    return ("B" if "B" in (c1, c2) else "G", "B" if c1 == c2 == "B" else "G")
+
+
 def _build_swap(b: _Builder, pair_c: int, tier: int, in1: Port, in2: Port) -> GadgetRec:
     """Comparator: duplicate both inputs, OR them leftward, AND them rightward."""
     g = b.gadget("Swap", "sorting", pair=pair_c, tier=tier)

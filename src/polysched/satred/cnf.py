@@ -11,6 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from ..fileio import ParseError
+
+
+class FormulaError(ValueError):
+    """A formula `CnfFormula` refuses; `clause` is the index of the first bad
+    clause, or None when the fault is not in one clause."""
+
+    def __init__(self, message: str, clause: int | None = None):
+        super().__init__(message)
+        self.clause = clause
+
 
 @dataclass(frozen=True)
 class CnfFormula:
@@ -21,19 +32,19 @@ class CnfFormula:
     def __post_init__(self):
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         if self.num_vars < 0:
-            raise ValueError("variable count must be >= 0")
+            raise FormulaError("variable count must be >= 0")
         if not 0 <= self.k <= len(self.clauses):
-            raise ValueError("threshold k must satisfy 0 <= k <= #clauses")
-        for c in self.clauses:
+            raise FormulaError("threshold k must satisfy 0 <= k <= #clauses")
+        for j, c in enumerate(self.clauses):
             if not c:
-                raise ValueError("empty clauses are not allowed")
+                raise FormulaError("empty clauses are not allowed", j)
             if len(c) > 3:
-                raise ValueError(f"clause {c} has more than 3 literals")
+                raise FormulaError(f"clause {c} has more than 3 literals", j)
             if len(set(c)) != len(c):
-                raise ValueError(f"duplicate literal in clause {c}")
+                raise FormulaError(f"duplicate literal in clause {c}", j)
             for lit in c:
                 if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
+                    raise FormulaError(f"literal {lit} out of range", j)
 
     @property
     def num_clauses(self) -> int:
@@ -65,14 +76,25 @@ def max3sat_oracle(formula: CnfFormula) -> int:
     return best
 
 
+def _formula(num_vars: int, clauses: list, k: int, lines: list[int], head: int) -> CnfFormula:
+    """`CnfFormula(num_vars, clauses, k)`; a refusal is a `ParseError` at
+    `lines[j]` when clause j is at fault, else at the header line `head`."""
+    try:
+        return CnfFormula(num_vars, tuple(clauses), k)
+    except FormulaError as exc:
+        raise ParseError(str(exc), head if exc.clause is None else lines[exc.clause]) from None
+
+
 def parse_dimacs(text: str, k: int | None = None) -> CnfFormula:
     """Standard DIMACS CNF; threshold defaults to the clause count.
 
-    Raises ValueError, prefixed `line N: ` when one line is at fault.
+    Raises ValueError, prefixed `line N: ` when one line is at fault; a
+    clause is at fault at the line of its first literal.
     """
     num_vars = None
     declared = None
     clauses: list[tuple[int, ...]] = []
+    starts: list[int] = []  # per clause, the line of its first literal
     current: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -88,24 +110,23 @@ def parse_dimacs(text: str, k: int | None = None) -> CnfFormula:
                 continue
             lits = [int(tok) for tok in line.split()]
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise ParseError(str(exc), lineno) from exc
         for lit in lits:
             if lit == 0:
                 if current:
                     clauses.append(tuple(current))
                     current = []
             else:
+                if not current:
+                    starts.append(lineno)
                 current.append(lit)
     if current:
         clauses.append(tuple(current))
     if num_vars is None:
         raise ValueError("missing 'p cnf' problem line")
     if declared != len(clauses):
-        raise ValueError(f"line {problem_line}: declared {declared} clauses, "
-                         f"found {len(clauses)}")
-    if k is None:
-        k = len(clauses)
-    return CnfFormula(num_vars, tuple(clauses), k)
+        raise ParseError(f"declared {declared} clauses, found {len(clauses)}", problem_line)
+    return _formula(num_vars, clauses, len(clauses) if k is None else k, starts, problem_line)
 
 
 def emit_dimacs(formula: CnfFormula) -> str:
@@ -137,17 +158,18 @@ def parse_sidecar(text: str) -> CnfFormula:
     header = next((line for line in lines if line[1].startswith("# cnf ")), None)
     if header is None:
         raise ValueError("missing '# cnf' header")
-    lineno, clauses = header[0], []
+    lineno, clauses, at = header[0], [], []
     try:
         n_vars, m, k = map(int, header[1].split()[2:])
         for lineno, line in lines:
             if line.startswith("# clause "):
                 clauses.append(tuple(map(int, line.split()[2:])))
+                at.append(lineno)
     except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from exc
-    formula = CnfFormula(n_vars, tuple(clauses), k)
+        raise ParseError(str(exc), lineno) from exc
+    formula = _formula(n_vars, clauses, k, at, header[0])
     if len(clauses) != m:
-        raise ValueError(f"line {header[0]}: clause count mismatch")
+        raise ParseError("clause count mismatch", header[0])
     return formula
 
 

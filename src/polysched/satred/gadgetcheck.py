@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from .build import comparator
 from .tiling import class_phases, phase_color, solve
 
 GADGET_KINDS = (
@@ -244,15 +245,16 @@ def _add_or2(model: _Model, out: str) -> None:
     model.edge(out, "IV", None, 12)
 
 
-def _gate_scenarios(add_gate, node, blue_rule):
-    """Scenarios over input colors for the 2-input sorting-layer gates."""
+def _gate_scenarios(add_gate, node, output):
+    """Scenarios over input colors for the 2-input sorting-layer gates; a
+    blue output is allowed when `comparator`'s output `output` is blue."""
     for c1, c2 in product("BG", repeat=2):
         name = f"inputs-{c1}{c2}"
         model = _Model()
         model.edge("in1", node, None, 12, c1)
         model.edge("in2", node, None, 12, c2)
         add_gate(model, "out")
-        blue_allowed = blue_rule(c1, c2)
+        blue_allowed = comparator(c1, c2)[output] == "B"
 
         def out_ok(sols, blue_allowed=blue_allowed):
             seen = _colors(sols, "out")
@@ -270,7 +272,7 @@ def _gate_scenarios(add_gate, node, blue_rule):
 
 
 def _or2_scenarios():
-    yield from _gate_scenarios(_add_or2, "V", lambda c1, c2: "B" in (c1, c2))
+    yield from _gate_scenarios(_add_or2, "V", 0)
 
 
 def _add_and2(model: _Model, out: str) -> None:
@@ -288,7 +290,7 @@ def _add_and2(model: _Model, out: str) -> None:
 
 
 def _and2_scenarios():
-    yield from _gate_scenarios(_add_and2, "A", lambda c1, c2: (c1, c2) == ("B", "B"))
+    yield from _gate_scenarios(_add_and2, "A", 1)
 
 
 def _splitter_scenarios(kind):
@@ -325,23 +327,20 @@ def _swap_scenarios():
     for c1, c2 in product("BG", repeat=2):
         name = f"inputs-{c1}{c2}"
         model = _swap_model(c1, c2)
-        or_blue_ok = "B" in (c1, c2)
-        and_blue_ok = (c1, c2) == ("B", "B")
+        want_or, want_and = comparator(c1, c2)
 
-        def outs_ok(sols, or_blue_ok=or_blue_ok, and_blue_ok=and_blue_ok):
+        def outs_ok(sols, want_or=want_or, want_and=want_and):
             or_seen = _colors(sols, "out_or")
             and_seen = _colors(sols, "out_and")
             if (or_seen | and_seen) - {"B", "G"}:
                 return f"outputs left blue/green: {or_seen}, {and_seen}"
-            if not or_blue_ok and "B" in or_seen:
+            if want_or != "B" and "B" in or_seen:
                 return "or-output blue without any blue input"
-            if not and_blue_ok and "B" in and_seen:
+            if want_and != "B" and "B" in and_seen:
                 return "and-output blue without both inputs blue"
             return None
 
-        def comparator_case(sols, c1=c1, c2=c2):
-            want_or = "B" if "B" in (c1, c2) else "G"
-            want_and = "B" if (c1, c2) == ("B", "B") else "G"
+        def comparator_case(sols, want_or=want_or, want_and=want_and):
             hit = any(sol["out_or"] == want_or and sol["out_and"] == want_and
                       for sol in sols)
             return _check(hit, f"comparator outcome ({want_or},{want_and}) unreachable")

@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from ..core import PeriodicSchedule, verify_dps
-from .build import GadgetRec, ReductionArtifact, channel_phase, compile_formula
+from .build import GadgetRec, ReductionArtifact, channel_phase, comparator, compile_formula
 from .cnf import CnfFormula
 from .tiling import PERIOD, SLOT, class_phases, occ_mask, solve_first
 
@@ -43,8 +43,8 @@ def simulate_channels(artifact: ReductionArtifact, satisfied: list[int]) -> dict
     """Color (B/G) of every channel-carrying edge under the canonical synthesis.
 
     satisfied lists the satisfied clauses in order, at least k of them. The
-    first k go blue; comparators act as boolean or/and on blue, so blues
-    bubble to the left channels.
+    first k go blue; each comparator passes on the colours `comparator`
+    gives, so blues bubble to the left channels.
     """
     formula = artifact.formula
     chosen = set(satisfied[: formula.k])
@@ -64,8 +64,7 @@ def simulate_channels(artifact: ReductionArtifact, satisfied: list[int]) -> dict
         g2, n2, c2 = channel_state[pair_c]
         land(g1, n1, c1)
         land(g2, n2, c2)
-        out_or = "B" if "B" in (c1, c2) else "G"
-        out_and = "B" if (c1, c2) == ("B", "B") else "G"
+        out_or, out_and = comparator(c1, c2)
         channel_state[pair_c - 1] = (swap, "out_or", out_or)
         channel_state[pair_c] = (swap, "out_and", out_and)
     for j, (g, name, color) in enumerate(channel_state):

@@ -259,7 +259,13 @@ def test_reduce_sat_k_out_of_range_is_a_usage_error(tmp_path, capsys, k):
     ("p cnf 2 1\n1 x 0\n", "line 2: invalid literal for int() with base 10: 'x'"),
     ("c a comment\np cnf 2 y\n1 2 0\n", "line 2: invalid literal for int() with base 10: 'y'"),
     ("p cnf 2 3\n1 2 0\n\n-1 0\n", "line 1: declared 3 clauses, found 2"),
-], ids=["token", "problem-line", "clause-count"])
+    # a clause the formula refuses is named at the line of its first literal
+    ("p cnf 2 2\n1 2 0\n1 9 0\n", "line 3: literal 9 out of range"),
+    ("p cnf 2 2\n1 2 0\n1 1 0\n", "line 3: duplicate literal in clause (1, 1)"),
+    ("p cnf 4 2\n1 2 0\n\n-1 2\n3 4 0\n",
+     "line 4: clause (-1, 2, 3, 4) has more than 3 literals"),
+], ids=["token", "problem-line", "clause-count", "literal-range", "repeated-literal",
+        "four-literals"])
 def test_malformed_cnf_names_its_line(tmp_path, capsys, text, message):
     cnf = tmp_path / "f.cnf"
     cnf.write_text(text)
@@ -271,6 +277,7 @@ def test_malformed_cnf_names_its_line(tmp_path, capsys, text, message):
     ("# cnf 3 1\n", "not enough values to unpack"),
     ("# cnf 3 x 1\n", "invalid literal for int()"),
     ("# cnf 3 1 1\n# clause 1 -2 9\n", "literal 9 out of range"),
+    ("# cnf 3 2 2\n# clause 1 2\n# clause 3 3\n", "line 3: duplicate literal in clause (3, 3)"),
     ("", "missing '# cnf' header"),
     ("0 1 2 var:0 -> var:1 0\n# cnf 3 1 1\n# clause 1 2 3\n", "missing '# cnf' header"),
     ("# cnf 3 2 1\n# clause 1 2 3\n", "clause count mismatch"),
@@ -324,9 +331,16 @@ _CANNOT_WRITE = "error: cannot write {no}/"
     ("suite --max-edges 0", EX_USAGE, "error: --max-edges 0 must be at least 1\n"),
     ("gen pinwheel-star --freqs 2,x", EX_USAGE,
      "error: --freqs 2,x must be integers, comma separated\n"),
+    ("gen tadpole --tail -1", EX_USAGE, "error: --tail -1 must be at least 0\n"),
+    ("gen tadpole --tail-freq 1", EX_USAGE, "error: --tail-freq 1 must be at least 2\n"),
+    ("gen pinwheel-star --freqs 2,0", EX_USAGE, "error: --freqs 2,0 must each be at least 1\n"),
+    # only figure1 has a bundled schedule, and the refusal writes nothing
+    ("gen pentagon -o {tmp}/p.dps --with-schedule {tmp}/p.sched", EX_USAGE,
+     "error: --with-schedule {tmp}/p.sched: only figure1 has a bundled schedule\n"),
 ], ids=["gen", "gen-with-schedule", "schedule", "feasible", "solve", "reduce-sat", "synth",
         "extract-invalid", "suite-bound", "undecodable", "reduce-sat-stdout", "suite-count",
-        "suite-max-persons", "suite-max-edges", "gen-freqs"])
+        "suite-max-persons", "suite-max-edges", "gen-freqs", "gen-tail", "gen-tail-freq",
+        "gen-freqs-floor", "gen-schedule-without-one"])
 def test_refusals(tmp_path, monkeypatch, capsys, argv, code, prefix):
     monkeypatch.chdir(tmp_path)  # where a relative output, such as `-.prov`, would land
     tmp, no = str(tmp_path), str(tmp_path / "no")
@@ -343,6 +357,7 @@ def test_refusals(tmp_path, monkeypatch, capsys, argv, code, prefix):
     assert main(argv.format(tmp=tmp, no=no).split()) == code
     assert capsys.readouterr().err.startswith(prefix.format(tmp=tmp, no=no))
     assert not (tmp_path / "-.prov").exists()
+    assert not (tmp_path / "p.dps").exists() and not (tmp_path / "p.sched").exists()
 
 
 # replacement tokens: small numbers, words and markers of the three formats,

@@ -684,6 +684,18 @@ class TestOptimalHeat:
         with pytest.raises(MatchingCapExceeded):
             ops_optimal_heat(path)
 
+    def test_search_limits_carry_the_matching_cap(self):
+        # a path of MATCHING_CAP + 1 unit edges is above the default cap; the
+        # limits alone widen it, for the optimal heat and for one decision
+        m = MATCHING_CAP + 1
+        edges = tuple((i, i + 1) for i in range(m))
+        limits = SearchLimits(matching_cap=30)
+        result = ops_optimal_heat(OpsInstance(m + 1, edges, (1,) * m), limits)
+        assert (result.status, result.heat, result.predecessor) == (FEASIBLE, 2, 1)
+        assert dps_feasible(DpsInstance(m + 1, edges, (2,) * m), limits).status == FEASIBLE
+        with pytest.raises(MatchingCapExceeded):
+            dps_feasible(DpsInstance(m + 1, edges, (2,) * m))
+
     def test_lists_only_the_candidates_from_the_floor(self):
         # growth 1000 and 1/997 put 1,994,001 candidates in [g_max, 3*g_max];
         # the floor is the round-robin heat, so the one probe is its
